@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .model import CamouflagedPopulation, Mode, Panel, make_camouflaged
+from .model import CamouflagedPopulation, Mode, Panel, make_camouflaged, panel_counts
 from .sampling import TrialPlan, monte_carlo
 
 COVER_CAP = 10**7
@@ -278,9 +278,7 @@ def uniform_weights(n: int) -> np.ndarray:
 
 
 def panel_weights(n: int, panel: Panel) -> np.ndarray:
-    weights = np.zeros(n)
-    np.add.at(weights, np.asarray(panel.members), 1.0 / panel.k)
-    return weights
+    return panel_counts(panel.members, n) / panel.k
 
 
 def optimal_allocation(
@@ -302,13 +300,7 @@ def optimal_allocation(
     if all(isinstance(c, LinearCost) for c in inst.costs):
         A = np.asarray([c.alpha for c in inst.costs])
         agg = weights @ A
-        x = np.zeros(inst.m)
-        remaining = inst.B
-        for j in sorted(range(inst.m), key=lambda j: (-agg[j], j)):
-            if remaining <= 0:
-                break
-            x[j] = min(1.0, remaining)
-            remaining -= x[j]
+        x = _greedy_fill(agg, inst.B)
         cost = float(weights @ A.sum(axis=1) - agg @ x)
         return x, cost
     if cover is None or len(cover) == 0:
@@ -316,6 +308,19 @@ def optimal_allocation(
     costs = weights @ cost_matrix(inst, cover)
     idx = int(np.argmin(costs))
     return np.asarray(cover[idx], dtype=float).copy(), float(costs[idx])
+
+
+def _greedy_fill(agg: np.ndarray, B: float) -> np.ndarray:
+    """Fund projects by decreasing aggregate weight (ties to the lower index),
+    each capped at 1, until the budget B runs out."""
+    x = np.zeros(agg.size)
+    remaining = B
+    for j in sorted(range(agg.size), key=lambda j: (-agg[j], j)):
+        if remaining <= 0:
+            break
+        x[j] = min(1.0, remaining)
+        remaining -= x[j]
+    return x
 
 
 @dataclass(frozen=True)
@@ -345,7 +350,7 @@ class CoreLab:
         matrix = cost_matrix(inst, self.cover)
         self.rows, self.group = np.unique(matrix, axis=0, return_inverse=True)
         self.group = np.asarray(self.group).ravel()
-        self.pop_counts = np.bincount(self.group, minlength=self.rows.shape[0])
+        self.pop_counts = panel_counts(self.group, self.rows.shape[0])
         self._tables: dict[tuple[float, float], np.ndarray] = {}
 
     @property
@@ -353,9 +358,7 @@ class CoreLab:
         return self.cover.shape[0]
 
     def group_counts(self, panel: Panel) -> np.ndarray:
-        counts = np.zeros(self.rows.shape[0], dtype=np.int64)
-        np.add.at(counts, self.group[np.asarray(panel.members)], 1)
-        return counts
+        return panel_counts(self.group[np.asarray(panel.members)], self.rows.shape[0])
 
     def _improvement_tables(self, tau: float, rho: float) -> np.ndarray | None:
         u, N = self.rows.shape
@@ -526,14 +529,7 @@ def welfare_experiment(
 
         def statistic(panel: Panel) -> float:
             agg = A[np.asarray(panel.members)].mean(axis=0)
-            x = np.zeros(inst.m)
-            remaining = inst.B
-            for j in sorted(range(inst.m), key=lambda j: (-agg[j], j)):
-                if remaining <= 0:
-                    break
-                x[j] = min(1.0, remaining)
-                remaining -= x[j]
-            return pop_base - float(pop_agg @ x)
+            return pop_base - float(pop_agg @ _greedy_fill(agg, inst.B))
 
     else:
         M = cost_matrix(inst, cover)

@@ -2,7 +2,7 @@
 
 Configs are single JSON documents; command-line flags override the seed,
 trial count, and output path. Exit codes: 0 criterion passed, 1 criterion
-failed, 2 usage or config error.
+failed, 2 usage or config error, 3 the run crashed before reaching a verdict.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .experiments import (
     ExperimentConfig,
@@ -18,6 +19,7 @@ from .experiments import (
     run_experiment,
     validate_config,
 )
+from .sampling import StatisticError
 
 
 def load_config(path: str, seed=None, trials=None, output=None) -> ExperimentConfig:
@@ -45,7 +47,13 @@ def _cmd_run(args) -> int:
     except (UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    code, result = run_experiment(config)
+    try:
+        code, result = run_experiment(config)
+    except Exception as exc:  # a crash is not a criterion verdict
+        traceback.print_exc()
+        where = f" (trial {exc.trial})" if isinstance(exc, StatisticError) else ""
+        print(f"error: {config.kind}: {exc}{where}", file=sys.stderr)
+        return 3
     verdict = "PASS" if result.passed else "FAIL"
     print(f"{verdict} {config.kind}: {result.summary}")
     if config.output:

@@ -25,10 +25,14 @@ from .model import (
     Segment,
     majority_estimator,
     make_camouflaged,
+    pairwise,
+    panel_counts,
     real_feature,
 )
 from .sampling import (
+    Z_95,
     TrialPlan,
+    derived_seed,
     draw_panel,
     enumerate_panels,
     monte_carlo,
@@ -36,16 +40,6 @@ from .sampling import (
     trial_rng,
 )
 from .transport import wasserstein_1d
-
-_MASK64 = (1 << 64) - 1
-
-
-def derived_seed(seed: int, *indices: int) -> int:
-    """Stable sub-seed for nested experiment loops."""
-    out = int(seed) & _MASK64
-    for idx in indices:
-        out = (out + 0x9E3779B97F4A7C15 * (int(idx) + 1)) & _MASK64
-    return out
 
 
 @dataclass(frozen=True)
@@ -214,7 +208,7 @@ def _tail_estimate(inst, T, delta, k, trials, seed):
     q_idx = cd.optimum_index()
     opt = float(cd.social[q_idx])
     q_star = inst.candidates[q_idx]
-    dist_to_opt = np.array([inst.space.distance(c, q_star) for c in inst.candidates])
+    dist_to_opt = pairwise(inst.space, inst.candidates, [q_star])[:, 0]
 
     def statistic(panel: Panel) -> float:
         chosen = cd.panel_optimum_index(panel.members)
@@ -549,15 +543,14 @@ def _run_multifacility_line(params: dict, seed: int, trials: int) -> ExperimentR
             for t in range(trials):
                 rng_t = trial_rng(sub_seed, t)
                 panel = draw_panel(n, k, Mode.WITHOUT_REPLACEMENT, rng_t)
-                counts = np.bincount(site_of[np.asarray(panel.members)], minlength=sites.size)
+                counts = panel_counts(site_of[np.asarray(panel.members)], sites.size)
                 live = counts > 0
                 pts = sites[live]
                 wts = counts[live] / k
                 w_sum += w_stat(panel)
                 for ell in ells:
                     _, chosen = multifacility.kmedian_line(pts, inst.candidates, ell, wts)
-                    dists = np.min(np.abs(sites[:, None] - np.asarray(chosen)[None, :]), axis=1)
-                    sc = float(pop_w @ dists)
+                    sc = float(pop_w @ pairwise(inst.space, sites, chosen).min(axis=1))
                     sc_sums[ell] += sc
                     gap_pool[ell].append(sc - opts[ell])
             for ell in ells:
@@ -576,7 +569,7 @@ def _run_multifacility_line(params: dict, seed: int, trials: int) -> ExperimentR
         for ell in ells:
             arr = np.asarray(gap_pool[ell])
             mean = float(arr.mean())
-            ci = 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size)
+            ci = Z_95 * float(arr.std(ddof=1)) / math.sqrt(arr.size)
             stats[ell] = (mean, ci)
             passed = passed and mean <= eps + 3.0 * ci
         gaps = [stats[ell][0] for ell in ells]
@@ -651,6 +644,12 @@ def _validate_pb_lower(params: dict):
     top = max(int(k) for k in params["k_grid"])
     if top > n:
         raise ValueError(f"largest grid k={top} exceeds the population 2*h*w*r={n}")
+
+
+def _validate_pb_core(params: dict):
+    _require_above(params, "step", 0.0)
+    if int(params["n"]) % 2:
+        raise ValueError(f"n={params['n']} must be even to split into two equal blocks")
 
 
 def _validate_tail(params: dict):
@@ -744,7 +743,7 @@ _register(
         (),
         {"n": 200, "k": 64, "eps": 0.25, "step": 0.05, "delta": 0.1},
         _run_pb_core,
-        lambda params: _require_above(params, "step", 0.0),
+        _validate_pb_core,
     )
 )
 _register(

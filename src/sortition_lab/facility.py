@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +22,7 @@ from .model import (
     Segment,
     canonical_point,
     make_camouflaged,
+    pairwise,
 )
 
 COVER_CAP = 10**7
@@ -84,12 +86,8 @@ class CandidateDistances:
 
     def __init__(self, inst: FacilityInstance):
         self.inst = inst
-        mat = np.empty((len(inst.candidates), inst.n))
-        for i, c in enumerate(inst.candidates):
-            for j, a in enumerate(inst.agents):
-                mat[i, j] = inst.space.distance(c, a)
-        self.matrix = mat
-        self.social = mat.mean(axis=1)
+        self.matrix = pairwise(inst.space, inst.candidates, inst.agents)
+        self.social = self.matrix.mean(axis=1)
 
     def optimum_index(self) -> int:
         return int(np.argmin(self.social))
@@ -101,15 +99,16 @@ class CandidateDistances:
 
 def social_cost(inst: FacilityInstance, q) -> float:
     """Average distance from q (which must be a candidate) to the agents."""
-    idx = inst.candidate_index(q)
-    return float(np.mean([inst.space.distance(inst.candidates[idx], a) for a in inst.agents]))
+    return float(np.mean(_agent_distances(inst, q)))
 
 
 def panel_cost(inst: FacilityInstance, q, panel: Panel) -> float:
-    idx = inst.candidate_index(q)
-    c = inst.candidates[idx]
-    dists = [inst.space.distance(c, inst.agents[i]) for i in panel.members]
-    return float(np.mean(dists))
+    return float(np.mean(_agent_distances(inst, q)[np.asarray(panel.members)]))
+
+
+def _agent_distances(inst: FacilityInstance, q) -> np.ndarray:
+    c = inst.candidates[inst.candidate_index(q)]
+    return pairwise(inst.space, [c], inst.agents)[0]
 
 
 def social_optimum(inst: FacilityInstance) -> tuple[object, float]:
@@ -157,13 +156,14 @@ def metric_map_to_line(inst: FacilityInstance, T: float) -> ReducedInstance:
     images of the original candidates at least T*Opt away, ascending.
     """
     q_star, opt = social_optimum(inst)
-    mapped = [inst.space.distance(q_star, a) for a in inst.agents]
+    mapped = pairwise(inst.space, [q_star], inst.agents)[0].tolist()
     if opt <= 0.0:
         hi = max(max(mapped), 1.0)
         line = FacilityInstance(Segment(0.0, hi + 1.0), (0.0,), tuple(mapped))
         return ReducedInstance(line, 0.0, True)
     cut = T * opt
-    far = sorted({cut} | {inst.space.distance(q_star, c) for c in inst.candidates if inst.space.distance(q_star, c) >= cut - 1e-12})
+    to_candidates = pairwise(inst.space, [q_star], inst.candidates)[0].tolist()
+    far = sorted({cut} | {d for d in to_candidates if d >= cut - 1e-12})
     hi = max(max(mapped), far[-1]) + 1.0
     line = FacilityInstance(Segment(0.0, hi), (0.0, *far), tuple(mapped))
     return ReducedInstance(line, opt, False)
@@ -204,19 +204,7 @@ def box_cover(dim: int, radius: float, norm: Norm) -> list[tuple[float, ...]]:
     if per_axis**dim > COVER_CAP:
         raise ValueError(f"cover of size {per_axis**dim} exceeds the cap")
     centers = [min((i + 0.5) * step, 1.0) for i in range(per_axis)]
-    points: list[tuple[float, ...]] = []
-    idx = [0] * dim
-    while True:
-        points.append(tuple(centers[i] for i in idx))
-        d = dim - 1
-        while d >= 0:
-            idx[d] += 1
-            if idx[d] < per_axis:
-                break
-            idx[d] = 0
-            d -= 1
-        if d < 0:
-            return points
+    return list(product(centers, repeat=dim))
 
 
 def star_instance(k: int) -> FacilityInstance:
@@ -252,25 +240,11 @@ def linf_lower_instance(z: Sequence[int], t: int, w: int, r: int) -> FacilityIns
         point = [0.5] * t
         point[j - 1] = coord
         agents.append(tuple(point))
-    candidates = [tuple(p) for p in _grid_points((0.25, 0.5, 0.75), t)]
-    return FacilityInstance(Box(t, Norm.LINF), tuple(candidates), tuple(agents))
+    candidates = tuple(product((0.25, 0.5, 0.75), repeat=t))
+    return FacilityInstance(Box(t, Norm.LINF), candidates, tuple(agents))
 
 
 def linf_optimal_point(z: Sequence[int]) -> tuple[float, ...]:
     """The grid corner realizing social cost 1/2 - 1/(4w) on the instance above."""
     return tuple(0.75 if int(s) > 0 else 0.25 for s in z)
 
-
-def _grid_points(levels: tuple[float, ...], dim: int):
-    idx = [0] * dim
-    while True:
-        yield tuple(levels[i] for i in idx)
-        d = dim - 1
-        while d >= 0:
-            idx[d] += 1
-            if idx[d] < len(levels):
-                break
-            idx[d] = 0
-            d -= 1
-        if d < 0:
-            return

@@ -159,6 +159,25 @@ def canonical_point(space: MetricSpace, p) -> Point:
     return int(p)
 
 
+def pairwise(space: MetricSpace, xs: Sequence, ys: Sequence) -> np.ndarray:
+    """Distance matrix with entry [i, j] equal to ``space.distance(xs[i], ys[j])``.
+
+    Entries match the scalar distance bit for bit: box coordinates are
+    added one at a time in coordinate order, as the scalar l1 sum does.
+    """
+    if isinstance(space, FiniteMetric):
+        return space.dist[np.ix_(np.asarray(xs, dtype=int), np.asarray(ys, dtype=int))]
+    if isinstance(space, Segment):
+        return np.abs(np.asarray(xs, dtype=float)[:, None] - np.asarray(ys, dtype=float)[None, :])
+    X = np.asarray(xs, dtype=float).reshape(len(xs), space.dim)
+    Y = np.asarray(ys, dtype=float).reshape(len(ys), space.dim)
+    combine = np.add if space.norm is Norm.L1 else np.maximum
+    out = np.abs(X[:, None, 0] - Y[None, :, 0])
+    for c in range(1, space.dim):
+        out = combine(out, np.abs(X[:, None, c] - Y[None, :, c]))
+    return out
+
+
 @dataclass(frozen=True)
 class MetricViolation:
     """First violated metric axiom, with the witnessing point indices."""
@@ -410,6 +429,21 @@ class Panel:
 
     def to_dict(self) -> dict:
         return {"n": self.n, "members": list(self.members), "mode": self.mode.value}
+
+
+def panel_counts(codes, size: int) -> np.ndarray:
+    """Occurrences of each code 0..size-1 in one panel's codes.
+
+    ``codes`` holds one code per member (an agent index, a distinct value,
+    a group); a (panels, k) matrix gives a (panels, size) matrix of counts,
+    one row per panel.
+    """
+    codes = np.asarray(codes)
+    if codes.ndim == 1:
+        return np.bincount(codes, minlength=size)
+    rows = codes.shape[0]
+    flat = np.arange(rows)[:, None] * size + codes
+    return np.bincount(flat.ravel(), minlength=rows * size).reshape(rows, size)
 
 
 def panel_from_dict(data: dict) -> Panel:

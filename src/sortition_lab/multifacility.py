@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .facility import FacilityInstance
-from .model import Panel, Segment
+from .model import Panel, Segment, pairwise, panel_counts
 
 BRUTE_FORCE_CAP = 200_000
 
@@ -49,12 +49,10 @@ def multi_cost(inst: MultiFacilityInstance, facilities: Sequence, weights=None) 
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (base.n,):
             raise ValueError("need one weight per agent")
-    points = [base.candidates[i] for i in idxs]
-    total = 0.0
-    for a, wt in zip(base.agents, weights):
-        if wt:
-            total += wt * min(base.space.distance(a, q) for q in points)
-    return float(total)
+    nearest = pairwise(base.space, base.agents, [base.candidates[i] for i in idxs]).min(axis=1)
+    live = weights != 0.0
+    # built-in sum adds the agents' terms one at a time in agent order
+    return float(sum(weights[live] * nearest[live]))
 
 
 def kmedian_line(
@@ -144,11 +142,10 @@ def panel_facilities(inst: MultiFacilityInstance, panel: Panel) -> tuple[float, 
     subset search elsewhere (subject to ``BRUTE_FORCE_CAP``).
     """
     base = inst.base
-    members = np.asarray(panel.members)
     if isinstance(base.space, Segment):
         pts = [base.agents[i] for i in panel.members]
         return kmedian_line(pts, base.candidates, inst.ell)
-    return brute_force_facilities(inst, weights=_member_weights(base.n, members))
+    return brute_force_facilities(inst, weights=panel_counts(panel.members, base.n) / panel.k)
 
 
 def brute_force_facilities(inst: MultiFacilityInstance, weights=None) -> tuple[float, tuple]:
@@ -159,10 +156,7 @@ def brute_force_facilities(inst: MultiFacilityInstance, weights=None) -> tuple[f
         raise ValueError(f"{count} candidate subsets exceed the brute-force cap")
     if weights is None:
         weights = np.full(base.n, 1.0 / base.n)
-    dists = np.empty((len(base.candidates), base.n))
-    for i, c in enumerate(base.candidates):
-        for j, a in enumerate(base.agents):
-            dists[i, j] = base.space.distance(c, a)
+    dists = pairwise(base.space, base.candidates, base.agents)
     best_cost, best_set = math.inf, ()
     for subset in combinations(range(len(base.candidates)), inst.ell):
         cost = float(np.dot(np.min(dists[list(subset)], axis=0), weights))
@@ -170,16 +164,6 @@ def brute_force_facilities(inst: MultiFacilityInstance, weights=None) -> tuple[f
         if cost < best_cost or (cost == best_cost and key < best_set):
             best_cost, best_set = cost, key
     return best_cost, best_set
-
-
-def _member_weights(n: int, members: np.ndarray) -> np.ndarray:
-    weights = np.zeros(n)
-    np.add.at(weights, members, 1.0 / members.size)
-    return weights
-
-
-def social_multi_cost(inst: MultiFacilityInstance, facilities: Sequence) -> float:
-    return multi_cost(inst, facilities)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from .model import DiscreteDistribution, Feature, Mode, Panel, Segment
-from .sampling import TrialPlan, monte_carlo
+from .model import DiscreteDistribution, Feature, Mode, Panel, Segment, panel_counts
+from .sampling import TrialPlan, _weighted_panels, derived_seed, monte_carlo
 from .transport import wasserstein
 
 #: Slack for representativeness decisions and mean-gap comparisons.
@@ -64,24 +65,21 @@ class PanelWasserstein:
         values = feature.as_array()
         self.n = values.size
         self.unique, self.index = np.unique(values, return_inverse=True)
-        pop_counts = np.bincount(self.index, minlength=self.unique.size)
+        pop_counts = panel_counts(self.index, self.unique.size)
         self.pop_cdf = np.cumsum(pop_counts)[:-1] / self.n
         self.gaps = np.diff(self.unique)
 
     def __call__(self, panel: Panel) -> float:
         members = np.asarray(panel.members)
-        counts = np.bincount(self.index[members], minlength=self.unique.size)
+        counts = panel_counts(self.index[members], self.unique.size)
         cdf = np.cumsum(counts)[:-1] / members.size
         return float(np.sum(np.abs(self.pop_cdf - cdf) * self.gaps))
 
     def batch(self, members: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over a (panels, k) matrix of member indices."""
         members = np.asarray(members)
-        n_panels, k = members.shape
-        u = self.unique.size
-        flat = np.arange(n_panels)[:, None] * u + self.index[members]
-        counts = np.bincount(flat.ravel(), minlength=n_panels * u).reshape(n_panels, u)
-        cdf = np.cumsum(counts, axis=1)[:, :-1] / k
+        counts = panel_counts(self.index[members], self.unique.size)
+        cdf = np.cumsum(counts, axis=1)[:, :-1] / members.shape[1]
         return np.abs(cdf - self.pop_cdf[None, :]) @ self.gaps
 
 
@@ -166,17 +164,12 @@ def min_k_sweep(
     rows = []
     recommended = None
     for idx, k in enumerate(k_grid):
-        plan = TrialPlan(n=n, k=int(k), mode=mode, trials=trials, seed=_derived_seed(seed, idx))
+        plan = TrialPlan(n=n, k=int(k), mode=mode, trials=trials, seed=derived_seed(seed, idx))
         est = monte_carlo(plan, failure)
         rows.append(SweepRow(int(k), est.mean, est.half_width_95))
         if recommended is None and est.mean <= delta:
             recommended = int(k)
     return SweepResult(tuple(rows), eps, delta, len(features), seed, recommended)
-
-
-def _derived_seed(seed: int, index: int) -> int:
-    # splitmix-style spacing keeps per-k trial seed streams disjoint
-    return (seed + 0x9E3779B97F4A7C15 * (index + 1)) & ((1 << 64) - 1)
 
 
 def expected_w_exact(feature: Feature, k: int, mode: Mode) -> float:
@@ -186,33 +179,8 @@ def expected_w_exact(feature: Feature, k: int, mode: Mode) -> float:
     2^53 for the supported sizes), and panels are evaluated in one
     vectorized pass.
     """
-    from itertools import combinations, combinations_with_replacement
-    from math import comb, factorial
-
-    from .sampling import ENUMERATION_CAP
-
     n = feature.n
-    stat = PanelWasserstein(feature)
-    if mode is Mode.WITHOUT_REPLACEMENT:
-        total_panels = comb(n, k)
-        if total_panels > ENUMERATION_CAP:
-            raise ValueError("enumeration above the cap")
-        members = np.fromiter(
-            (i for combo in combinations(range(n), k) for i in combo), dtype=np.int64
-        ).reshape(total_panels, k)
-        probs = np.full(total_panels, 1.0 / total_panels)
-    else:
-        total_panels = comb(n + k - 1, k)
-        if total_panels > ENUMERATION_CAP:
-            raise ValueError("enumeration above the cap")
-        members = np.fromiter(
-            (i for combo in combinations_with_replacement(range(n), k) for i in combo),
-            dtype=np.int64,
-        ).reshape(total_panels, k)
-        fact = np.array([factorial(i) for i in range(k + 1)], dtype=float)
-        mults = np.zeros((total_panels, n), dtype=np.int64)
-        flat = np.arange(total_panels)[:, None] * n + members
-        mults = np.bincount(flat.ravel(), minlength=total_panels * n).reshape(total_panels, n)
-        orderings = fact[k] / np.prod(fact[mults], axis=1)
-        probs = orderings / float(n) ** k
-    return float(probs @ stat.batch(members))
+    panels, weights = zip(*_weighted_panels(n, k, mode))
+    denom = float(comb(n, k)) if mode is Mode.WITHOUT_REPLACEMENT else float(n) ** k
+    probs = np.asarray(weights, dtype=float) / denom
+    return float(probs @ PanelWasserstein(feature).batch(np.array(panels, dtype=np.int64)))

@@ -8,12 +8,13 @@ results never depend on the count).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
 from typing import Callable, Iterator
 
 import numpy as np
@@ -71,6 +72,15 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng((int(seed) ^ int(trial)) & _MASK64)
 
 
+def derived_seed(seed: int, *indices: int) -> int:
+    """Stable sub-seed for nested experiment loops."""
+    out = int(seed) & _MASK64
+    for idx in indices:
+        # splitmix-style spacing keeps sibling sub-seed streams disjoint
+        out = (out + 0x9E3779B97F4A7C15 * (int(idx) + 1)) & _MASK64
+    return out
+
+
 def draw_panel(n: int, k: int, mode: Mode, rng: np.random.Generator) -> Panel:
     """One uniform panel draw.
 
@@ -82,15 +92,15 @@ def draw_panel(n: int, k: int, mode: Mode, rng: np.random.Generator) -> Panel:
     if mode is Mode.WITHOUT_REPLACEMENT:
         if k > n:
             raise ValueError(f"k={k} exceeds n={n} without replacement")
-        idx = np.arange(n)
-        swaps = rng.integers(np.arange(k), n)
-        for i in range(k):
-            j = swaps[i]
+        # swaps on a list of ints: the same swaps on numpy scalars cost
+        # several times more per element
+        idx = list(range(n))
+        for i, j in enumerate(rng.integers(np.arange(k), n).tolist()):
             idx[i], idx[j] = idx[j], idx[i]
-        members = np.sort(idx[:k])
+        members = sorted(idx[:k])
     else:
-        members = np.sort(rng.integers(0, n, size=k))
-    return Panel(n, tuple(int(i) for i in members), mode)
+        members = np.sort(rng.integers(0, n, size=k)).tolist()
+    return Panel(n, tuple(members), mode)
 
 
 def enumerate_panels(n: int, k: int, mode: Mode) -> Iterator[tuple[Panel, Fraction]]:
@@ -99,29 +109,35 @@ def enumerate_panels(n: int, k: int, mode: Mode) -> Iterator[tuple[Panel, Fracti
     With replacement the ordered draws are collapsed to multisets, so each
     panel carries the multinomial count of its orderings over n^k.
     """
+    denom = math.comb(n, k) if mode is Mode.WITHOUT_REPLACEMENT else n**k
+    # few distinct weights occur, and building a Fraction costs more than a panel
+    prob = functools.cache(lambda weight: Fraction(weight, denom))
+    for members, weight in _weighted_panels(n, k, mode):
+        yield Panel(n, members, mode), prob(weight)
+
+
+def _weighted_panels(n: int, k: int, mode: Mode) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Members of every panel with its integer count of draws.
+
+    The count is 1 for a subset drawn without replacement (over C(n, k))
+    and the number of orderings of the multiset with replacement (over n^k).
+    """
     if mode is Mode.WITHOUT_REPLACEMENT:
         total = math.comb(n, k)
         if total > ENUMERATION_CAP:
             raise ValueError(f"C({n},{k}) = {total} exceeds the enumeration cap")
-        prob = Fraction(1, total)
         for members in combinations(range(n), k):
-            yield Panel(n, members, mode), prob
+            yield members, 1
     else:
         total = math.comb(n + k - 1, k)
         if total > ENUMERATION_CAP:
             raise ValueError(f"{total} multisets exceed the enumeration cap")
-        denom = n**k
         kfact = math.factorial(k)
         for members in combinations_with_replacement(range(n), k):
             orderings = kfact  # k! over the product of multiplicity factorials
-            i = 0
-            while i < k:
-                j = i
-                while j < k and members[j] == members[i]:
-                    j += 1
-                orderings //= math.factorial(j - i)
-                i = j
-            yield Panel(n, members, mode), Fraction(orderings, denom)
+            for _, run in groupby(members):
+                orderings //= math.factorial(len(list(run)))
+            yield members, orderings
 
 
 def _worker_count() -> int:

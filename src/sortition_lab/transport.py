@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import DiscreteDistribution, MetricSpace, Segment
+from .model import DiscreteDistribution, MetricSpace, Segment, pairwise
 
 #: Numerical tolerance bound to the transport contracts.
 TOL = 1e-9
@@ -46,13 +46,9 @@ class Coupling:
         return float(max(row_err, col_err))
 
     def cost(self, space: MetricSpace) -> float:
-        total = 0.0
-        for i, x in enumerate(self.rows):
-            for j, y in enumerate(self.cols):
-                g = self.gamma[i, j]
-                if g > 0.0:
-                    total += g * space.distance(x, y)
-        return total
+        live = self.gamma > 0.0
+        # built-in sum adds the terms one at a time in row-major order
+        return float(sum(self.gamma[live] * pairwise(space, self.rows, self.cols)[live]))
 
 
 def _require_same_space(phi: DiscreteDistribution, psi: DiscreteDistribution):
@@ -136,10 +132,7 @@ def wasserstein_flow(
     total = sum(supply)
 
     ns, nt = len(phi.support), len(psi.support)
-    cost = np.empty((ns, nt))
-    for i, x in enumerate(phi.support):
-        for j, y in enumerate(psi.support):
-            cost[i, j] = phi.space.distance(x, y)
+    cost = pairwise(phi.space, phi.support, psi.support)
 
     flow = _transport_ssp(supply, demand, cost)
     value = 0.0

@@ -5,6 +5,7 @@ budget; the assertions never loosen to accommodate noise beyond the
 confidence-interval slack written into the criterion itself.
 """
 
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -291,9 +292,28 @@ DETERMINISM_CONFIGS = {
 }
 
 
+# sha256 of each kind's CSV at DETERMINISM_CONFIGS with seed 1313. Re-record a
+# digest only in a change that alters the random stream on purpose, and log
+# the new values in CHANGES.md; any other mismatch is a changed result.
+GOLDEN_SHA256 = {
+    "rep_sweep": "cf21f3c0379475c6581131c556d903d6e89f611d35a473e4d94dd0cedfd52f11",
+    "sd_counterexample": "83b70591ed6436e32551bf037cffc3e18ceff987fa88277fc7e7e0c5944dbe99",
+    "concentration": "ec1086d5e236694086ce6916ea2dd09ec7c94e913abf777a84e23b7faf3697f7",
+    "facility_tail": "88321ea7dcfcecc87bfdcbb18c1c6d3fdb7e9aeb2b0b2ca5ff3e4fd4af1f5686",
+    "facility_welfare": "ccaa9c9980fbbfedbbd4caf96a2cf8ba675c307d07167031100924479e106a21",
+    "facility_star": "c623ce3c81c694beac13fa9ba3d4641f2d55e658be8aa3f6eda72600dbefc09a",
+    "pb_welfare": "3d7038507fd8242bbef73c30c66b8d0c1ebbc5a8ddd78471c5e521293f22d790",
+    "pb_core": "59c3723fa893e256d782a091b174b712eca125a8c04e66c9cdef3635e914e9e4",
+    "pb_lower": "552a7d500211aea101af214f01442e01021147efe9f0c03d5a92cfe8a7efc35a",
+    "multifacility_line": "4d8ac3dad7042d4c8cc23960f746e1cad0736588464d406cced554775f3ae9c0",
+    "multifacility_impossible": "ddae35ab647a9d0c27bd85229497d2a48132471069d082f29df590e60e4d17dc",
+}
+
+
 def test_13_experiment_determinism(tmp_path, monkeypatch):
     started = time.perf_counter()
     mismatched = []
+    changed = []
     assert set(DETERMINISM_CONFIGS) == set(experiments.KINDS)
     for kind, (params, trials) in DETERMINISM_CONFIGS.items():
         payloads = []
@@ -306,7 +326,14 @@ def test_13_experiment_determinism(tmp_path, monkeypatch):
             payloads.append(out.read_bytes())
         if payloads[0] != payloads[1]:
             mismatched.append(kind)
-    checks = [("byte-identical CSV across 1 and max workers for all 11 kinds", not mismatched)]
+        if hashlib.sha256(payloads[0]).hexdigest() != GOLDEN_SHA256[kind]:
+            changed.append(kind)
+    checks = [
+        ("byte-identical CSV across 1 and max workers for all 11 kinds", not mismatched),
+        ("CSV sha256 matches the recorded digest for all 11 kinds", not changed),
+    ]
     if mismatched:
         checks.append((f"mismatched kinds: {mismatched}", False))
+    if changed:
+        checks.append((f"kinds whose CSV changed: {changed}", False))
     verdict("experiment-determinism", checks, started, 300.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -13,6 +14,7 @@ from sortition_lab.experiments import (
     validate_config,
     write_csv,
 )
+from sortition_lab.sampling import StatisticError
 
 
 def write_config(tmp_path, **fields):
@@ -71,6 +73,25 @@ class TestCliCommands:
 
     def test_run_missing_file_exits_two(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == 2
+
+    def test_pb_core_odd_population_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, kind="pb_core", params={"n": 201, "k": 16})
+        assert main(["validate", cfg]) == 2
+        assert main(["run", "--config", cfg]) == 2
+        assert "even" in capsys.readouterr().err
+
+    def test_runner_crash_exits_three(self, tmp_path, capsys, monkeypatch):
+        def crash(params, seed, trials):
+            raise StatisticError(7, ZeroDivisionError("division by zero"))
+
+        spec = dataclasses.replace(KINDS["facility_star"], runner=crash)
+        monkeypatch.setitem(KINDS, "facility_star", spec)
+        cfg = write_config(tmp_path, kind="facility_star")
+        assert main(["run", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+        assert "error: facility_star: statistic failed on trial 7" in captured.err
+        assert "(trial 7)" in captured.err
 
     def test_validate(self, tmp_path, capsys):
         cfg = write_config(tmp_path, kind="facility_star", params={"k_max": 3})

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import shortest_path_closure
 
@@ -19,6 +21,8 @@ from sortition_lab.model import (
     feature_from_dict,
     majority_estimator,
     make_camouflaged,
+    pairwise,
+    panel_counts,
     panel_from_dict,
     space_from_dict,
     validate_metric,
@@ -74,6 +78,62 @@ class TestSpaces:
         space = FiniteMetric.discrete(4)
         assert space.distance(0, 1) == 1.0
         assert space.distance(2, 2) == 0.0
+
+
+def _scalar_matrix(space, xs, ys):
+    return np.array([[space.distance(x, y) for y in ys] for x in xs]).reshape(len(xs), len(ys))
+
+
+unit = st.floats(0.0, 1.0)
+
+
+class TestPairwise:
+    """pairwise must equal the scalar distance bit for bit, not approximately."""
+
+    @given(xs=st.lists(st.floats(-3.0, 5.0), max_size=8), ys=st.lists(st.floats(-3.0, 5.0), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_segment(self, xs, ys):
+        space = Segment(-3.0, 5.0)
+        assert np.array_equal(pairwise(space, xs, ys), _scalar_matrix(space, xs, ys))
+
+    # dims 9 and 12 included: a vectorized sum over the last axis already
+    # differs from the in-order l1 sum there
+    @pytest.mark.parametrize("norm", [Norm.L1, Norm.LINF])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 9, 12])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_box(self, norm, dim, data):
+        point = st.tuples(*[unit] * dim)
+        xs = data.draw(st.lists(point, min_size=1, max_size=6))
+        ys = data.draw(st.lists(point, min_size=1, max_size=6))
+        space = Box(dim, norm)
+        assert np.array_equal(pairwise(space, xs, ys), _scalar_matrix(space, xs, ys))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_finite_metric(self, data):
+        n = data.draw(st.integers(1, 6))
+        raw = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=n * n, max_size=n * n)))
+        space = FiniteMetric(shortest_path_closure(raw.reshape(n, n)))
+        index = st.lists(st.integers(0, n - 1), max_size=7)
+        xs, ys = data.draw(index), data.draw(index)
+        assert np.array_equal(pairwise(space, xs, ys), _scalar_matrix(space, xs, ys))
+
+
+class TestPanelCounts:
+    def test_counts_with_multiplicity(self):
+        assert panel_counts([0, 2, 2], 4).tolist() == [1, 0, 2, 0]
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matrix_rows_match_single_panels(self, data):
+        size = data.draw(st.integers(1, 8))
+        k = data.draw(st.integers(1, 6))
+        rows = data.draw(st.lists(st.lists(st.integers(0, size - 1), min_size=k, max_size=k), min_size=1, max_size=5))
+        counts = panel_counts(np.array(rows), size)
+        assert counts.shape == (len(rows), size)
+        for row, got in zip(rows, counts):
+            assert np.array_equal(got, panel_counts(row, size))
 
 
 class TestFeature:
