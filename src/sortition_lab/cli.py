@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 
@@ -44,6 +45,8 @@ def _cmd_run(args) -> int:
     try:
         config = load_config(args.config, args.seed, args.trials, args.out)
         validate_config(config)
+        if config.output and not os.path.isdir(os.path.dirname(os.path.abspath(config.output))):
+            raise UsageError(f"output directory of {config.output!r} does not exist")
     except (UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

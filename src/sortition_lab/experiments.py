@@ -506,8 +506,12 @@ def _run_pb_lower(params: dict, seed: int, trials: int) -> ExperimentResult:
 # multifacility_line
 
 
+#: Candidate facilities of a multifacility_line instance, evenly spaced on [0, 1].
+SITE_CANDIDATES = 9
+
+
 def random_site_instance(
-    rng: np.random.Generator, n: int, n_sites: int, n_candidates: int = 9
+    rng: np.random.Generator, n: int, n_sites: int, n_candidates: int = SITE_CANDIDATES
 ) -> facility.FacilityInstance:
     sites = np.sort(rng.random(n_sites))
     agents = tuple(float(sites[i]) for i in rng.integers(0, n_sites, size=n))
@@ -646,6 +650,24 @@ def _validate_pb_lower(params: dict):
         raise ValueError(f"largest grid k={top} exceeds the population 2*h*w*r={n}")
 
 
+def _validate_multifacility_line(params: dict):
+    bad = [ell for ell in params["ells"] if not 1 <= int(ell) <= SITE_CANDIDATES]
+    if bad:
+        raise ValueError(f"ells {bad} must lie in 1..{SITE_CANDIDATES}, the candidate count")
+    _require_above(params, "c", 0.0)
+    eps = min(float(e) for e in params["eps_list"])
+    if eps <= 0.0:
+        raise ValueError("every eps must be greater than 0")
+    k = math.ceil(float(params["c"]) / (eps * eps))
+    if k > int(params["n"]):
+        raise ValueError(f"eps={eps} needs panels of k={k}, more than the population {params['n']}")
+
+
+def _validate_multifacility_impossible(params: dict):
+    if int(params["k_max"]) > int(params["n"]):
+        raise ValueError(f"k_max={params['k_max']} exceeds the population n={params['n']}")
+
+
 def _validate_pb_core(params: dict):
     _require_above(params, "step", 0.0)
     if int(params["n"]) % 2:
@@ -772,6 +794,7 @@ _register(
             "n_sites": 10,
         },
         _run_multifacility_line,
+        _validate_multifacility_line,
     )
 )
 _register(
@@ -782,6 +805,7 @@ _register(
         (),
         {"k_max": 6, "n": 10},
         _run_multifacility_impossible,
+        _validate_multifacility_impossible,
     )
 )
 

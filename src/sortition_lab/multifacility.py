@@ -3,8 +3,11 @@
 The line solver is an interval dynamic program over sorted agent positions:
 sorted agents split into contiguous blocks, each served by one facility, and
 facilities appear in ascending order. Equal-cost optima resolve to the
-lexicographically smallest facility tuple. General metric spaces fall back
-to brute force over candidate subsets with a hard size cap.
+lexicographically smallest facility tuple. Each level scans the block ends
+once with a running minimum, so ell facilities over C candidates and m
+distinct positions cost O(ell*C*m), with results bit-identical to scoring
+every cut. General metric spaces fall back to brute force over candidate
+subsets with a hard size cap.
 """
 
 from __future__ import annotations
@@ -67,6 +70,14 @@ def kmedian_line(
     ascending tuple. Inputs are sorted and aggregated internally; ties
     between facility sets of equal cost resolve to the lexicographically
     smallest tuple of positions.
+
+    Runs in O(ell*C*m) for C candidates and m distinct positions. A cell
+    (last facility c, first p points) costs ``min over cut <= p`` of
+    ``a + prefix[c][p]`` with ``a = prev[cut] - prefix[c][cut]``; rounding is
+    monotone, so a running minimum of ``a`` gives the cost. Ties in rounded
+    cost are broken by facilities: the scan keeps the smallest tuple at the
+    smallest ``a`` and the next larger ``a``, and only when that larger
+    ``a`` rounds to the same cost does it rescan the cuts up to ``p``.
     """
     pts = np.asarray(points, dtype=float)
     if weights is None:
@@ -93,46 +104,51 @@ def kmedian_line(
     xs_arr = np.asarray(xs)
     ws_arr = np.asarray(ws)
 
-    # prefix[c][p] = weighted cost of serving the first p points from candidate c
-    prefix = np.empty((len(cands), m + 1))
-    for ci, c in enumerate(cands):
-        prefix[ci] = np.concatenate(([0.0], np.cumsum(ws_arr * np.abs(xs_arr - c))))
+    # prefix[c][p] = weighted cost of serving the first p points from candidate c;
+    # cumsum adds in order, so each row equals its own 1-D prefix sum
+    prefix = np.zeros((len(cands), m + 1))
+    np.cumsum(ws_arr * np.abs(xs_arr - np.asarray(cands)[:, None]), axis=1, out=prefix[:, 1:])
+    rows = prefix.tolist()
 
     inf = math.inf
-    # best[c][p]: (cost, facilities) serving first p points, last facility = cands[c]
-    best = [[(inf, ())] * (m + 1) for _ in range(len(cands))]
-    for ci in range(len(cands)):
-        row = prefix[ci]
-        for p in range(m + 1):
-            best[ci][p] = (row[p], (cands[ci],))
-    for _ in range(1, ell):
-        # running prefix-best over candidate index for the previous level
-        reach = [[(inf, ())] * (m + 1) for _ in range(len(cands))]
-        for ci in range(len(cands)):
-            for p in range(m + 1):
-                entry = best[ci][p]
-                if ci > 0 and reach[ci - 1][p] <= entry:
-                    entry = reach[ci - 1][p]
-                reach[ci][p] = entry
-        new = [[(inf, ())] * (m + 1) for _ in range(len(cands))]
-        for ci in range(1, len(cands)):
-            row = prefix[ci]
-            prev = reach[ci - 1]
-            for p in range(m + 1):
-                cur_cost, cur_fac = inf, ()
-                for cut in range(p + 1):
-                    pc, pf = prev[cut]
-                    if pc == inf:
-                        continue
-                    cost = pc - row[cut] + row[p]
-                    if cost < cur_cost or (cost == cur_cost and pf + (cands[ci],) < cur_fac):
-                        cur_cost = cost
-                        cur_fac = pf + (cands[ci],)
-                new[ci][p] = (cur_cost, cur_fac)
+    # best[c][p]: (cost, ranks) serving the first p points with the last
+    # facility at cands[c]; ranks index the sorted cands, so they compare
+    # like the facility positions
+    best = [[(cost, (ci,)) for cost in row] for ci, row in enumerate(rows)]
+    for level in range(1, ell):
+        # rows below `level` cannot hold level + 1 distinct facilities
+        new = [[(inf, ())] * (m + 1)] * level
+        # reach[cut]: lexicographic best of the previous level over candidates below ci
+        reach = best[level - 1]
+        for ci in range(level, len(cands)):
+            row = rows[ci]
+            cells = []
+            # cost of a cut is a + row[p] with a = prev cost - row[cut]; keep the
+            # smallest a with its smallest ranks, and the next larger a
+            a_min = a_next = inf
+            for p, ((pc, pf), r) in enumerate(zip(reach, row)):
+                a = pc - r
+                if a < a_min:
+                    a_next, a_min, fac = a_min, a, pf
+                elif a == a_min:
+                    if pf < fac:
+                        fac = pf
+                elif a < a_next:
+                    a_next = a
+                cost = a_min + r
+                if a_next + r == cost:
+                    # a larger a rounds to the same cost and may carry smaller
+                    # ranks: score the cuts up to p as the quadratic recurrence does
+                    tie = min(f for (c, f), x in zip(reach[: p + 1], row) if c - x + r == cost)
+                    cells.append((cost, tie + (ci,)))
+                else:
+                    cells.append((cost, fac + (ci,)))
+            new.append(cells)
+            reach = list(map(min, reach, best[ci]))
         best = new
 
-    winner = min(best[ci][m] for ci in range(len(cands)))
-    return float(winner[0]), winner[1]
+    cost, ranks = min(row[m] for row in best)
+    return float(cost), tuple(cands[i] for i in ranks)
 
 
 def panel_facilities(inst: MultiFacilityInstance, panel: Panel) -> tuple[float, tuple]:

@@ -123,6 +123,8 @@ def _weighted_panels(n: int, k: int, mode: Mode) -> Iterator[tuple[tuple[int, ..
     and the number of orderings of the multiset with replacement (over n^k).
     """
     if mode is Mode.WITHOUT_REPLACEMENT:
+        if k > n:
+            raise ValueError(f"k={k} exceeds n={n} without replacement")
         total = math.comb(n, k)
         if total > ENUMERATION_CAP:
             raise ValueError(f"C({n},{k}) = {total} exceeds the enumeration cap")

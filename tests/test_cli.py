@@ -80,6 +80,32 @@ class TestCliCommands:
         assert main(["run", "--config", cfg]) == 2
         assert "even" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, params, reason",
+        [
+            ("multifacility_line", {"ells": [10]}, "ells"),
+            ("multifacility_line", {"eps_list": [0.05]}, "k=1600"),
+            ("multifacility_impossible", {"k_max": 11, "n": 10}, "k_max=11"),
+        ],
+    )
+    def test_panels_beyond_population_or_candidates_rejected(self, tmp_path, capsys, kind, params, reason):
+        cfg = write_config(tmp_path, kind=kind, params=params)
+        assert main(["validate", cfg]) == 2
+        assert main(["run", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert reason in captured.err
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+    def test_out_in_missing_directory_exits_two_before_running(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        spec = dataclasses.replace(KINDS["facility_star"], runner=lambda *args: calls.append(args))
+        monkeypatch.setitem(KINDS, "facility_star", spec)
+        cfg = write_config(tmp_path, kind="facility_star")
+        missing = tmp_path / "nodir" / "o.csv"
+        assert main(["run", "--config", cfg, "--out", str(missing)]) == 2
+        assert calls == []
+        assert "does not exist" in capsys.readouterr().err
+
     def test_runner_crash_exits_three(self, tmp_path, capsys, monkeypatch):
         def crash(params, seed, trials):
             raise StatisticError(7, ZeroDivisionError("division by zero"))

@@ -1,7 +1,11 @@
 from itertools import combinations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sortition_lab.facility import FacilityInstance, panel_optimum
 from sortition_lab.model import Panel, Segment
@@ -16,6 +20,82 @@ from sortition_lab.multifacility import (
 )
 
 LINE = Segment(0.0, 1.0)
+
+
+def quadratic_kmedian_line(points, candidates, ell, weights=None):
+    """Frozen O(ell*C*m^2) recurrence that kmedian_line replaced: every cut
+    of every cell is scored as ``prev - prefix[cut] + prefix[p]`` and ties
+    go to the smaller facility tuple. The differential reference for the
+    running-minimum DP."""
+    pts = np.asarray(points, dtype=float)
+    if weights is None:
+        wts = np.full(pts.size, 1.0 / pts.size)
+    else:
+        wts = np.asarray(weights, dtype=float)
+    cands = sorted(set(float(c) for c in candidates))
+    order = np.argsort(pts, kind="stable")
+    xs: list[float] = []
+    ws: list[float] = []
+    for i in order:
+        if xs and pts[i] == xs[-1]:
+            ws[-1] += wts[i]
+        else:
+            xs.append(float(pts[i]))
+            ws.append(float(wts[i]))
+    m = len(xs)
+    xs_arr = np.asarray(xs)
+    ws_arr = np.asarray(ws)
+    prefix = np.empty((len(cands), m + 1))
+    for ci, c in enumerate(cands):
+        prefix[ci] = np.concatenate(([0.0], np.cumsum(ws_arr * np.abs(xs_arr - c))))
+
+    inf = math.inf
+    best = [[(inf, ())] * (m + 1) for _ in range(len(cands))]
+    for ci in range(len(cands)):
+        row = prefix[ci]
+        for p in range(m + 1):
+            best[ci][p] = (row[p], (cands[ci],))
+    for _ in range(1, ell):
+        reach = [[(inf, ())] * (m + 1) for _ in range(len(cands))]
+        for ci in range(len(cands)):
+            for p in range(m + 1):
+                entry = best[ci][p]
+                if ci > 0 and reach[ci - 1][p] <= entry:
+                    entry = reach[ci - 1][p]
+                reach[ci][p] = entry
+        new = [[(inf, ())] * (m + 1) for _ in range(len(cands))]
+        for ci in range(1, len(cands)):
+            row = prefix[ci]
+            prev = reach[ci - 1]
+            for p in range(m + 1):
+                cur_cost, cur_fac = inf, ()
+                for cut in range(p + 1):
+                    pc, pf = prev[cut]
+                    if pc == inf:
+                        continue
+                    cost = pc - row[cut] + row[p]
+                    if cost < cur_cost or (cost == cur_cost and pf + (cands[ci],) < cur_fac):
+                        cur_cost = cost
+                        cur_fac = pf + (cands[ci],)
+                new[ci][p] = (cur_cost, cur_fac)
+        best = new
+
+    winner = min(best[ci][m] for ci in range(len(cands)))
+    return float(winner[0]), winner[1]
+
+
+@st.composite
+def grid_instances(draw):
+    """Points, candidates and integer weights on a grid of step 1/d: many
+    exact cost ties whose float sums differ in the last bits."""
+    d = draw(st.sampled_from((3, 5, 7, 10, 12)))
+    grid = st.integers(0, d)
+    points = [i / d for i in draw(st.lists(grid, min_size=1, max_size=13))]
+    candidates = [i / d for i in draw(st.lists(grid, min_size=1, max_size=9, unique=True))]
+    ell = draw(st.integers(1, min(4, len(candidates))))
+    raw = draw(st.none() | st.lists(st.integers(1, 9), min_size=len(points), max_size=len(points)))
+    weights = None if raw is None else [w / sum(raw) for w in raw]
+    return points, candidates, ell, weights
 
 
 def random_instance(rng, n_agents=8, n_candidates=6, ell=2) -> MultiFacilityInstance:
@@ -95,6 +175,24 @@ class TestKMedianLine:
     def test_rejects_bad_facility_count(self):
         with pytest.raises(ValueError):
             kmedian_line((0.1,), (0.0, 1.0), 3)
+
+    def test_rounding_tie_takes_smaller_facilities(self):
+        # {0, 0.5} and {0.1, 0.5} both cost exactly 1/4, but the two cut
+        # terms differ in the last bit and only round together once
+        # prefix[p] is added; the running minimum alone would pick (0.1, 0.5)
+        case = ((0.3, 0.8), (0.0, 0.1, 0.5), 2)
+        assert kmedian_line(*case) == quadratic_kmedian_line(*case) == (0.25, (0.0, 0.5))
+
+    @given(grid_instances())
+    @example(((0.3, 0.8), (0.0, 0.1, 0.5), 2, None))
+    @example(((4 / 7, 6 / 7), (3 / 7, 2 / 7, 5 / 7), 2, (1 / 7, 6 / 7)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_quadratic_recurrence_exactly(self, instance):
+        points, candidates, ell, weights = instance
+        want = quadratic_kmedian_line(points, candidates, ell, weights)
+        got = kmedian_line(np.asarray(points), candidates, ell, weights)
+        assert got == want
+        assert type(got[0]) is float and all(type(q) is float for q in got[1])
 
 
 class TestPanelBound:

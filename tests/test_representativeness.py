@@ -110,6 +110,11 @@ class TestExpectedOrdering:
             er = expected_w_exact(feature, k, Mode.WITH_REPLACEMENT)
             assert eu <= er + 1e-12
 
+    def test_oversized_subset_rejected(self):
+        feature = real_feature(np.array([0.0, 0.5, 1.0]))
+        with pytest.raises(ValueError, match="exceeds"):
+            expected_w_exact(feature, 4, Mode.WITHOUT_REPLACEMENT)
+
 
 class TestMinKSweep:
     def test_constant_feature_never_fails(self):

@@ -72,6 +72,12 @@ class TestEnumeratePanels:
         with pytest.raises(ValueError, match="cap"):
             list(enumerate_panels(60, 20, Mode.WITHOUT_REPLACEMENT))
 
+    def test_rejects_oversized_subset(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            list(enumerate_panels(3, 4, Mode.WITHOUT_REPLACEMENT))
+        # with replacement a panel may be larger than the population
+        assert len(list(enumerate_panels(2, 3, Mode.WITH_REPLACEMENT))) == 4
+
 
 class TestMonteCarlo:
     def test_constant_statistic(self):
