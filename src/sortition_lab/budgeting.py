@@ -11,12 +11,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .model import CamouflagedPopulation, Mode, Panel, make_camouflaged, panel_counts
-from .sampling import TrialPlan, monte_carlo
+from .sampling import TrialPlan, monte_carlo, proportion_ci, trial_blocks
 
 COVER_CAP = 10**7
 
@@ -590,32 +590,31 @@ def core_extrapolation_experiment(
     than silently passed. Every failure is re-verified with the
     exact-arithmetic witness check when the cost models support it.
     """
-    from .sampling import draw_panel, proportion_ci, trial_rng
-
     if step is None:
         step = default_core_step(inst, eps, rho)
     cover = simplex_cover(inst.m, inst.B, step)
     lab = CoreLab(inst, cover)
     pop_blocked = lab.blocked_mask(lab.pop_counts, inst.n, eta + eps, tau + eps, rho)
 
-    panel_core_cache: dict[tuple, int] = {}
+    panel_core_cache: dict[bytes, int] = {}
 
-    def panel_core_index(panel: Panel) -> int:
-        counts = lab.group_counts(panel)
-        key = tuple(counts)
+    def panel_core_index(counts: np.ndarray) -> int:
+        key = counts.tobytes()
         if key not in panel_core_cache:
-            blocked = lab.blocked_mask(counts, panel.k, eta, tau, rho)
+            blocked = lab.blocked_mask(counts, k, eta, tau, rho)
             free = np.flatnonzero(~blocked)
             panel_core_cache[key] = int(free[0]) if free.size else -1
         return panel_core_cache[key]
 
+    def panels() -> Iterator[np.ndarray]:
+        for members in trial_blocks(TrialPlan(inst.n, k, trials=trials, seed=seed)):
+            yield from panel_counts(lab.group[members], lab.rows.shape[0])
+
     failures = 0
     resolved = 0
     unresolved = 0
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        panel = draw_panel(inst.n, k, Mode.WITHOUT_REPLACEMENT, rng)
-        idx = panel_core_index(panel)
+    for t, counts in enumerate(panels()):
+        idx = panel_core_index(counts)
         if idx < 0:
             unresolved += 1
             continue

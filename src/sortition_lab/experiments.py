@@ -33,11 +33,11 @@ from .sampling import (
     Z_95,
     TrialPlan,
     derived_seed,
-    draw_panel,
     enumerate_panels,
     monte_carlo,
     proportion_ci,
-    trial_rng,
+    trial_blocks,
+    trial_values,
 )
 from .transport import wasserstein_1d
 
@@ -67,7 +67,7 @@ class KindSpec:
     required: tuple[str, ...]
     defaults: dict
     runner: Callable[[dict, int, int], ExperimentResult]
-    validate: Callable[[dict], None] = lambda params: None
+    validate: Callable[[dict, int], None] = lambda params, trials: None
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +158,8 @@ def _run_concentration(params: dict, seed: int, trials: int) -> ExperimentResult
         feature = real_feature(rng.random(n))
         stat = representativeness.PanelWasserstein(feature)
         for k_idx, k in enumerate(ks):
-            values = _collect_values(
-                n, k, Mode.WITHOUT_REPLACEMENT, trials, derived_seed(seed, f_idx, k_idx), stat
-            )
+            plan = TrialPlan(n, k, trials=trials, seed=derived_seed(seed, f_idx, k_idx))
+            values = trial_values(plan, stat)
             mu_hat = float(values.mean())
             for t in ts:
                 tail = int(np.sum(values >= mu_hat + t))
@@ -183,14 +182,6 @@ def _run_concentration(params: dict, seed: int, trials: int) -> ExperimentResult
     summary = f"tail rates within exp(-t^2 k/4) + 3ci for all {len(rows)} cells" if passed else "tail bound exceeded"
     cols = ["feature", "n", "k", "t", "tail_rate", "bound", "ci", "seed"]
     return ExperimentResult(cols, rows, passed, summary)
-
-
-def _collect_values(n, k, mode, trials, seed, statistic) -> np.ndarray:
-    values = np.empty(trials)
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        values[t] = statistic(draw_panel(n, k, mode, rng))
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +451,17 @@ def _run_pb_lower(params: dict, seed: int, trials: int) -> ExperimentResult:
         for j in range(1, h + 1)
     )
     pop = make_camouflaged(z, h, w, r)
+    labels = np.asarray(pop.labels)
     rows = []
     rates = []
     for k_idx, k in enumerate(k_grid):
         hits = 0
-        sub_seed = derived_seed(seed, k_idx)
-        for t in range(trials):
-            rng = trial_rng(sub_seed, t)
-            panel = draw_panel(pop.n, k, Mode.WITHOUT_REPLACEMENT, rng)
-            labels = [pop.labels[i] for i in panel.members]
-            guess = majority_estimator(labels, h)
-            l1 = sum(abs(g - s) for g, s in zip(guess, z))
-            hits += 1 if l1 <= h / 4.0 else 0
+        plan = TrialPlan(pop.n, k, trials=trials, seed=derived_seed(seed, k_idx))
+        for members in trial_blocks(plan):
+            for panel_labels in labels[members].tolist():
+                guess = majority_estimator(panel_labels, h)
+                l1 = sum(abs(g - s) for g, s in zip(guess, z))
+                hits += 1 if l1 <= h / 4.0 else 0
         est = proportion_ci(hits, trials)
         rates.append(est)
         rows.append(
@@ -543,20 +533,18 @@ def _run_multifacility_line(params: dict, seed: int, trials: int) -> ExperimentR
             opts = {ell: multifacility.kmedian_line(sites, inst.candidates, ell, pop_w)[0] for ell in ells}
             sc_sums = {ell: 0.0 for ell in ells}
             w_sum = 0.0
-            sub_seed = derived_seed(seed, eps_idx, i_idx, 7)
-            for t in range(trials):
-                rng_t = trial_rng(sub_seed, t)
-                panel = draw_panel(n, k, Mode.WITHOUT_REPLACEMENT, rng_t)
-                counts = panel_counts(site_of[np.asarray(panel.members)], sites.size)
-                live = counts > 0
-                pts = sites[live]
-                wts = counts[live] / k
-                w_sum += w_stat(panel)
-                for ell in ells:
-                    _, chosen = multifacility.kmedian_line(pts, inst.candidates, ell, wts)
-                    sc = float(pop_w @ pairwise(inst.space, sites, chosen).min(axis=1))
-                    sc_sums[ell] += sc
-                    gap_pool[ell].append(sc - opts[ell])
+            plan = TrialPlan(n, k, trials=trials, seed=derived_seed(seed, eps_idx, i_idx, 7))
+            for members in trial_blocks(plan):
+                w_sum += float(w_stat.batch(members).sum())
+                for counts in panel_counts(site_of[members], sites.size):
+                    live = counts > 0
+                    pts = sites[live]
+                    wts = counts[live] / k
+                    for ell in ells:
+                        _, chosen = multifacility.kmedian_line(pts, inst.candidates, ell, wts)
+                        sc = float(pop_w @ pairwise(inst.space, sites, chosen).min(axis=1))
+                        sc_sums[ell] += sc
+                        gap_pool[ell].append(sc - opts[ell])
             for ell in ells:
                 rows.append(
                     {
@@ -643,14 +631,14 @@ def _validate_k_grid_fits(params: dict, n_key: str):
         raise ValueError(f"largest grid k={top} exceeds the population {params[n_key]}")
 
 
-def _validate_pb_lower(params: dict):
+def _validate_pb_lower(params: dict, trials: int):
     n = 2 * int(params["h"]) * int(params["w"]) * int(params["r"])
     top = max(int(k) for k in params["k_grid"])
     if top > n:
         raise ValueError(f"largest grid k={top} exceeds the population 2*h*w*r={n}")
 
 
-def _validate_multifacility_line(params: dict):
+def _validate_multifacility_line(params: dict, trials: int):
     bad = [ell for ell in params["ells"] if not 1 <= int(ell) <= SITE_CANDIDATES]
     if bad:
         raise ValueError(f"ells {bad} must lie in 1..{SITE_CANDIDATES}, the candidate count")
@@ -661,20 +649,22 @@ def _validate_multifacility_line(params: dict):
     k = math.ceil(float(params["c"]) / (eps * eps))
     if k > int(params["n"]):
         raise ValueError(f"eps={eps} needs panels of k={k}, more than the population {params['n']}")
+    if int(params["n_instances"]) * trials < 2:
+        raise ValueError("n_instances * trials must be at least 2 for a confidence interval on the gap")
 
 
-def _validate_multifacility_impossible(params: dict):
+def _validate_multifacility_impossible(params: dict, trials: int):
     if int(params["k_max"]) > int(params["n"]):
         raise ValueError(f"k_max={params['k_max']} exceeds the population n={params['n']}")
 
 
-def _validate_pb_core(params: dict):
+def _validate_pb_core(params: dict, trials: int):
     _require_above(params, "step", 0.0)
     if int(params["n"]) % 2:
         raise ValueError(f"n={params['n']} must be even to split into two equal blocks")
 
 
-def _validate_tail(params: dict):
+def _validate_tail(params: dict, trials: int):
     _require_above(params, "T", 2.0)
     k = facility.tail_panel_size(float(params["T"]), float(params["delta"]))
     smallest = min(2 * int(params["star_k"]) + 1, int(params["n"]))
@@ -734,7 +724,7 @@ _register(
         (),
         {"dims": [1, 2], "eps": 0.2, "k_grid": [16, 64, 256], "n": 400},
         _run_facility_welfare,
-        lambda params: _validate_k_grid_fits(params, "n"),
+        lambda params, trials: _validate_k_grid_fits(params, "n"),
     )
 )
 _register(
@@ -776,7 +766,7 @@ _register(
         (),
         {"h": 2, "w": 3, "r": 30, "z": None, "k_grid": [4, 16, 64, 256]},
         _run_pb_lower,
-        lambda params: _validate_pb_lower(params),
+        _validate_pb_lower,
     )
 )
 _register(
@@ -831,7 +821,7 @@ def validate_config(config: ExperimentConfig) -> KindSpec:
     if missing:
         raise UsageError(f"missing params for {config.kind}: {missing}")
     try:
-        spec.validate(merged)
+        spec.validate(merged, config.trials)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return spec

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -402,7 +403,7 @@ class Panel:
     mode: Mode = Mode.WITHOUT_REPLACEMENT
 
     def __post_init__(self):
-        members = tuple(int(i) for i in self.members)
+        members = tuple(map(int, self.members))
         object.__setattr__(self, "members", members)
         if not isinstance(self.mode, Mode):
             object.__setattr__(self, "mode", Mode(self.mode))
@@ -413,11 +414,10 @@ class Panel:
         if members[0] < 0 or members[-1] >= self.n:
             raise ValueError("member index out of range")
         if self.mode is Mode.WITHOUT_REPLACEMENT:
-            if any(a >= b for a, b in zip(members, members[1:])):
+            if not all(map(operator.lt, members, members[1:])):
                 raise ValueError("members must be strictly increasing without replacement")
-        else:
-            if any(a > b for a, b in zip(members, members[1:])):
-                raise ValueError("members must be nondecreasing")
+        elif not all(map(operator.le, members, members[1:])):
+            raise ValueError("members must be nondecreasing")
 
     @property
     def k(self) -> int:

@@ -161,6 +161,11 @@ def min_k_sweep(
     def failure(panel: Panel) -> float:
         return 1.0 if any(s(panel) > eps + DECISION_TOL for s in stats) else 0.0
 
+    def failure_batch(members: np.ndarray) -> np.ndarray:
+        return np.any([s.batch(members) > eps + DECISION_TOL for s in stats], axis=0).astype(float)
+
+    failure.batch = failure_batch
+
     rows = []
     recommended = None
     for idx, k in enumerate(k_grid):

@@ -1,9 +1,14 @@
 """Uniform panel draws, exhaustive enumeration, and a seeded Monte Carlo engine.
 
-Per-trial generators are derived as ``seed XOR trial_index``, so estimates are
-bit-identical regardless of how trials are scheduled across workers. The
-``SORTITION_THREADS`` environment variable sets the worker pool (default 1;
-results never depend on the count).
+Trials are drawn in fixed blocks of ``TRIAL_BLOCK`` = 64. Block ``b`` of a
+plan draws from its own counter-based stream: numpy's ``Philox`` keyed on the
+seed, with ``b`` in the counter (Salmon et al., "Parallel Random Numbers: As
+Easy as 1, 2, 3", SC'11). Distinct seeds therefore give independent streams,
+and a block's panels do not depend on which worker draws it or when. Each
+block is one sorted ``(rows, k)`` member matrix, which a statistic with a
+``batch`` method scores in one call. The ``SORTITION_THREADS`` environment
+variable sets the worker pool (default 1); workers take whole blocks, so
+results never depend on the count.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ import numpy as np
 from .model import Mode, Panel
 
 _MASK64 = (1 << 64) - 1
+
+#: Trials per block: each block draws from its own stream and is scored at once.
+TRIAL_BLOCK = 64
 
 #: Largest number of panels enumerate_panels will generate.
 ENUMERATION_CAP = 10**6
@@ -67,9 +75,15 @@ class StatisticError(RuntimeError):
         self.trial = trial
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-derived generator for one trial."""
-    return np.random.default_rng((int(seed) ^ int(trial)) & _MASK64)
+def trial_rng(seed: int, index: int) -> np.random.Generator:
+    """Counter-based generator for substream ``index`` of a seed (block ``index`` of a plan).
+
+    Philox keyed on the low 64 bits of the seed, with the index in the third
+    counter word: the substreams of one seed never overlap, and different
+    keys give unrelated streams.
+    """
+    bits = np.random.Philox(key=int(seed) & _MASK64, counter=[0, 0, int(index), 0])
+    return np.random.Generator(bits)
 
 
 def derived_seed(seed: int, *indices: int) -> int:
@@ -142,6 +156,42 @@ def _weighted_panels(n: int, k: int, mode: Mode) -> Iterator[tuple[tuple[int, ..
             yield members, orderings
 
 
+def _block_count(plan: TrialPlan) -> int:
+    return -(-plan.trials // TRIAL_BLOCK)
+
+
+def block_members(plan: TrialPlan, block: int) -> np.ndarray:
+    """Sorted (rows, k) member matrix of one block of trials.
+
+    Rows are trials ``block * TRIAL_BLOCK`` onwards, drawn from
+    ``trial_rng(plan.seed, block)``. Without replacement every row is a
+    partial Fisher-Yates shuffle of 0..n-1, done as k column swaps over all
+    rows at once, so every k-subset has probability 1 / C(n, k); with
+    replacement a row holds k i.i.d. uniform indices.
+    """
+    n, k = plan.n, plan.k
+    rows = min(TRIAL_BLOCK, plan.trials - block * TRIAL_BLOCK)
+    rng = trial_rng(plan.seed, block)
+    if plan.mode is Mode.WITH_REPLACEMENT:
+        return np.sort(rng.integers(0, n, size=(rows, k)), axis=1)
+    swaps = rng.integers(np.arange(k), n, size=(rows, k))
+    # position p of row r lives at perm[p * rows + r], so position p of
+    # every row is one contiguous column and swap i is three vector steps
+    perm = np.repeat(np.arange(n), rows)
+    columns = perm[: k * rows].reshape(k, rows)
+    for column, target in zip(columns, swaps.T * rows + np.arange(rows)):
+        held = column.copy()
+        column[:] = perm[target]
+        perm[target] = held
+    return np.sort(columns.T, axis=1)
+
+
+def trial_blocks(plan: TrialPlan) -> Iterator[np.ndarray]:
+    """Member matrices of every block, in trial order."""
+    for block in range(_block_count(plan)):
+        yield block_members(plan, block)
+
+
 def _worker_count() -> int:
     # Fan-out is opt-in: panel statistics are usually pure Python, where
     # thread workers only add interpreter-lock contention.
@@ -151,40 +201,61 @@ def _worker_count() -> int:
     return 1
 
 
-def monte_carlo(plan: TrialPlan, statistic: Callable[[Panel], float]) -> EstimateWithCI:
-    """Sample mean of a pure panel statistic with a 95% confidence interval.
+def trial_values(plan: TrialPlan, statistic: Callable[[Panel], float]) -> np.ndarray:
+    """The statistic's value on every trial of the plan, in trial order.
 
-    Trials are merged in index order, so the estimate does not depend on the
-    worker count or scheduling. For indicator statistics whose empirical
-    proportion sits near 0 or 1, the Wilson interval replaces the normal
-    approximation.
+    A statistic with a ``batch`` method scores a whole block's member matrix
+    in one call; any other is called on one ``Panel`` per trial. Workers take
+    contiguous runs of blocks, so the values do not depend on the worker
+    count. A failure raises ``StatisticError`` for the first failing trial
+    (for a batch statistic, the first trial of the failing block).
     """
     values = np.empty(plan.trials)
+    batch = getattr(statistic, "batch", None)
     failures: list[StatisticError] = []
 
-    def run_block(lo: int, hi: int):
+    def run_blocks(blocks: range):
         try:
-            for t in range(lo, hi):
-                rng = trial_rng(plan.seed, t)
-                panel = draw_panel(plan.n, plan.k, plan.mode, rng)
-                try:
-                    values[t] = float(statistic(panel))
-                except Exception as exc:  # surfaced with the trial index
-                    raise StatisticError(t, exc) from exc
+            for block in blocks:
+                first = block * TRIAL_BLOCK
+                members = block_members(plan, block)
+                if batch is not None:
+                    try:
+                        values[first : first + len(members)] = batch(members)
+                    except Exception as exc:  # surfaced with the block's first trial
+                        raise StatisticError(first, exc) from exc
+                    continue
+                for t, row in enumerate(members.tolist(), first):
+                    try:
+                        values[t] = float(statistic(Panel(plan.n, tuple(row), plan.mode)))
+                    except Exception as exc:  # surfaced with the trial index
+                        raise StatisticError(t, exc) from exc
         except StatisticError as err:
             failures.append(err)
 
-    workers = min(_worker_count(), plan.trials)
+    blocks = _block_count(plan)
+    workers = min(_worker_count(), blocks)
     if workers <= 1:
-        run_block(0, plan.trials)
+        run_blocks(range(blocks))
     else:
-        chunk = (plan.trials + workers - 1) // workers
-        bounds = [(lo, min(lo + chunk, plan.trials)) for lo in range(0, plan.trials, chunk)]
+        chunk = -(-blocks // workers)
+        runs = [range(blocks)[lo : lo + chunk] for lo in range(0, blocks, chunk)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: run_block(*b), bounds))
+            list(pool.map(run_blocks, runs))
     if failures:
         raise min(failures, key=lambda e: e.trial)
+    return values
 
+
+def monte_carlo(plan: TrialPlan, statistic: Callable[[Panel], float]) -> EstimateWithCI:
+    """Sample mean of a pure panel statistic with a 95% confidence interval.
+
+    The values come from ``trial_values``, so the estimate does not depend
+    on the worker count or scheduling. For indicator statistics whose
+    empirical proportion sits near 0 or 1, the Wilson interval replaces the
+    normal approximation.
+    """
+    values = trial_values(plan, statistic)
     mean = float(np.mean(values))
     if plan.trials == 1:
         return EstimateWithCI(mean, 0.0, 1)

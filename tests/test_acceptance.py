@@ -18,7 +18,7 @@ from sortition_lab import representativeness as rep
 from sortition_lab import experiments
 from sortition_lab.experiments import ExperimentConfig, derived_seed, run_experiment
 from sortition_lab.model import Mode, Panel, real_feature
-from sortition_lab.sampling import draw_panel, proportion_ci, trial_rng
+from sortition_lab.sampling import TrialPlan, proportion_ci, trial_values
 from sortition_lab.transport import convexity_check, wasserstein_1d, wasserstein_flow
 
 LINE = sl.Segment(0.0, 1.0)
@@ -110,10 +110,8 @@ def test_04_concentration_tail_shape():
         feature = real_feature(rng.random(n))
         stat = rep.PanelWasserstein(feature)
         for k_idx, k in enumerate((25, 100)):
-            seed = derived_seed(404, f_idx, k_idx)
-            values = np.empty(trials)
-            for t in range(trials):
-                values[t] = stat(draw_panel(n, k, Mode.WITHOUT_REPLACEMENT, trial_rng(seed, t)))
+            plan = TrialPlan(n, k, Mode.WITHOUT_REPLACEMENT, trials, derived_seed(404, f_idx, k_idx))
+            values = trial_values(plan, stat)
             mu_hat = float(values.mean())
             for t_level in (0.1, 0.2, 0.3):
                 tail = int(np.sum(values >= mu_hat + t_level))
@@ -296,16 +294,16 @@ DETERMINISM_CONFIGS = {
 # digest only in a change that alters the random stream on purpose, and log
 # the new values in CHANGES.md; any other mismatch is a changed result.
 GOLDEN_SHA256 = {
-    "rep_sweep": "cf21f3c0379475c6581131c556d903d6e89f611d35a473e4d94dd0cedfd52f11",
+    "rep_sweep": "c1d5e4b2514be4be4a878ad88853ef0ac59d4912876aab3e8897bc3084883a26",
     "sd_counterexample": "83b70591ed6436e32551bf037cffc3e18ceff987fa88277fc7e7e0c5944dbe99",
-    "concentration": "ec1086d5e236694086ce6916ea2dd09ec7c94e913abf777a84e23b7faf3697f7",
+    "concentration": "b050dcf13b1d29c12538c959f9367fcc5b2e2bc6d3bf064d0a6f6770b157416d",
     "facility_tail": "88321ea7dcfcecc87bfdcbb18c1c6d3fdb7e9aeb2b0b2ca5ff3e4fd4af1f5686",
-    "facility_welfare": "ccaa9c9980fbbfedbbd4caf96a2cf8ba675c307d07167031100924479e106a21",
+    "facility_welfare": "add3f13685dff134a5c23a4fcc11ad06c820d5c8b2f1508c7017fadedab24527",
     "facility_star": "c623ce3c81c694beac13fa9ba3d4641f2d55e658be8aa3f6eda72600dbefc09a",
-    "pb_welfare": "3d7038507fd8242bbef73c30c66b8d0c1ebbc5a8ddd78471c5e521293f22d790",
+    "pb_welfare": "c2cb45a881d5cddc69560392eb2b7c25c90448adbd06fb50d265cb6778573699",
     "pb_core": "59c3723fa893e256d782a091b174b712eca125a8c04e66c9cdef3635e914e9e4",
-    "pb_lower": "552a7d500211aea101af214f01442e01021147efe9f0c03d5a92cfe8a7efc35a",
-    "multifacility_line": "4d8ac3dad7042d4c8cc23960f746e1cad0736588464d406cced554775f3ae9c0",
+    "pb_lower": "0bdbec57c2820e0050829087991c201785f2876cd572c9dc13f9e464f77d3d81",
+    "multifacility_line": "768d11a72f497a3ca9d4098227550cf16f21e1f88f5369ab129c12e4ef5f050e",
     "multifacility_impossible": "ddae35ab647a9d0c27bd85229497d2a48132471069d082f29df590e60e4d17dc",
 }
 

@@ -96,6 +96,21 @@ class TestCliCommands:
         assert reason in captured.err
         assert "PASS" not in captured.out and "FAIL" not in captured.out
 
+    def test_multifacility_line_needs_two_gaps(self, tmp_path, capsys):
+        # one instance at one trial leaves a single gap and no confidence interval
+        cfg = write_config(
+            tmp_path, kind="multifacility_line", params={"n_instances": 1, "eps_list": [0.2]}, trials=1
+        )
+        assert main(["validate", cfg]) == 2
+        assert main(["run", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "n_instances * trials" in captured.err
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+        ok = write_config(
+            tmp_path, kind="multifacility_line", params={"n_instances": 2, "eps_list": [0.2]}, trials=1
+        )
+        assert main(["validate", ok]) == 0
+
     def test_out_in_missing_directory_exits_two_before_running(self, tmp_path, capsys, monkeypatch):
         calls = []
         spec = dataclasses.replace(KINDS["facility_star"], runner=lambda *args: calls.append(args))

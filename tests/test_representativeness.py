@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sortition_lab.model import Mode, Panel, real_feature
 from sortition_lab.representativeness import (
@@ -12,6 +14,7 @@ from sortition_lab.representativeness import (
     panel_distribution,
     population_distribution,
 )
+from sortition_lab.sampling import TrialPlan, block_members
 from sortition_lab.transport import wasserstein_1d
 
 FEATURE = real_feature((0.0, 0.5, 0.5, 0.5, 1.0))
@@ -97,6 +100,20 @@ class TestPanelWasserstein:
         batched = stat.batch(members)
         for row, value in zip(members, batched):
             assert value == pytest.approx(stat(Panel(12, tuple(row))), abs=1e-14)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_batch_matches_scalar_on_drawn_blocks(self, data):
+        n = data.draw(st.integers(1, 40))
+        mode = data.draw(st.sampled_from(list(Mode)))
+        k = data.draw(st.integers(1, n if mode is Mode.WITHOUT_REPLACEMENT else 2 * n))
+        # a small grid of values makes ties and repeated support points common
+        values = data.draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+        stat = PanelWasserstein(real_feature([v / 8 for v in values]))
+        plan = TrialPlan(n, k, mode, trials=data.draw(st.integers(1, 100)), seed=data.draw(st.integers(0, 2**64 - 1)))
+        members = block_members(plan, data.draw(st.integers(0, (plan.trials - 1) // 64)))
+        for row, value in zip(members.tolist(), stat.batch(members)):
+            assert value == pytest.approx(stat(Panel(n, tuple(row), mode)), abs=1e-12)
 
 
 class TestExpectedOrdering:

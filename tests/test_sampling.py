@@ -2,18 +2,24 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from sortition_lab.model import Mode, Panel
+from sortition_lab.model import Mode, Panel, real_feature
+from sortition_lab.representativeness import PanelWasserstein
 from sortition_lab.sampling import (
+    TRIAL_BLOCK,
     EstimateWithCI,
     StatisticError,
     TrialPlan,
+    block_members,
     draw_panel,
     enumerate_panels,
     monte_carlo,
     proportion_ci,
+    trial_blocks,
     trial_rng,
+    trial_values,
 )
 
 
@@ -118,6 +124,134 @@ class TestMonteCarlo:
     def test_degenerate_indicator_keeps_zero_width(self):
         est = monte_carlo(TrialPlan(10, 1, trials=500, seed=3), lambda panel: 0.0)
         assert est.mean == 0.0 and est.half_width_95 == 0.0
+
+
+class TestTrialStreams:
+    def test_distinct_seeds_give_distinct_estimates(self):
+        # seed XOR trial made these four seeds replay one set of panels
+        stat = lambda panel: float(sum(panel.members))
+        means = {monte_carlo(TrialPlan(30, 5, trials=1024, seed=seed), stat).mean for seed in (0, 1, 5, 1023)}
+        assert len(means) == 4
+
+    def test_blocks_of_one_seed_differ(self):
+        plan = TrialPlan(30, 5, trials=3 * TRIAL_BLOCK, seed=11)
+        first, second = block_members(plan, 0), block_members(plan, 1)
+        assert first.shape == second.shape == (TRIAL_BLOCK, 5)
+        assert not np.array_equal(first, second)
+
+    def test_block_replays_its_stream(self):
+        plan = TrialPlan(30, 5, trials=200, seed=4)
+        assert np.array_equal(block_members(plan, 2), block_members(plan, 2))
+        assert [m.shape[0] for m in trial_blocks(plan)] == [TRIAL_BLOCK] * 3 + [200 - 3 * TRIAL_BLOCK]
+
+    def test_uniform_over_subsets(self):
+        # n=5, k=2: each of the 10 subsets should appear with frequency 1/10 +- 0.01
+        draws = 60_000
+        plan = TrialPlan(5, 2, trials=draws, seed=17)
+        rows = np.concatenate(list(trial_blocks(plan)))
+        assert np.all(rows[:, 0] < rows[:, 1])
+        counts = Counter(map(tuple, rows.tolist()))
+        assert len(counts) == 10
+        for pair, hits in counts.items():
+            assert abs(hits / draws - 1 / 10) < 0.01, pair
+
+    def test_uniform_over_multisets(self):
+        # n=3, k=2 with replacement: {i, i} has probability 1/9, {i, j} 2/9
+        draws = 60_000
+        plan = TrialPlan(3, 2, Mode.WITH_REPLACEMENT, trials=draws, seed=18)
+        rows = np.concatenate(list(trial_blocks(plan)))
+        assert np.all(rows[:, 0] <= rows[:, 1])
+        counts = Counter(map(tuple, rows.tolist()))
+        assert len(counts) == 6
+        for (a, b), hits in counts.items():
+            assert abs(hits / draws - (1 / 9 if a == b else 2 / 9)) < 0.01, (a, b)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_rows_are_sorted_panels(self, mode):
+        plan = TrialPlan(40, 12, mode, trials=300, seed=21)
+        for members in trial_blocks(plan):
+            steps = np.diff(members, axis=1)
+            assert np.all(steps > 0) if mode is Mode.WITHOUT_REPLACEMENT else np.all(steps >= 0)
+            assert members.min() >= 0 and members.max() < 40
+
+    @pytest.mark.parametrize("n, k", [(9, 4), (30, 30), (50, 7)])
+    def test_matches_sequential_fisher_yates(self, n, k):
+        # the block's column swaps replay a per-row Fisher-Yates on its own draws
+        plan = TrialPlan(n, k, trials=150, seed=12)
+        for block, members in enumerate(trial_blocks(plan)):
+            swaps = trial_rng(12, block).integers(np.arange(k), n, size=(len(members), k))
+            for row, targets in zip(members.tolist(), swaps.tolist()):
+                perm = list(range(n))
+                for i, j in enumerate(targets):
+                    perm[i], perm[j] = perm[j], perm[i]
+                assert row == sorted(perm[:k])
+
+    def test_full_population_block(self):
+        members = block_members(TrialPlan(6, 6, trials=10, seed=0), 0)
+        assert np.array_equal(members, np.tile(np.arange(6), (10, 1)))
+
+
+class TestTrialValues:
+    FEATURE = real_feature(np.random.default_rng(8).random(50))
+
+    def test_batch_matches_scalar_path(self):
+        stat = PanelWasserstein(self.FEATURE)
+        plan = TrialPlan(50, 9, trials=300, seed=5)
+        batched = trial_values(plan, stat)
+        scalar = trial_values(plan, lambda panel: stat(panel))
+        np.testing.assert_allclose(batched, scalar, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_partial_block_filled(self, batch):
+        # 130 trials: two full blocks and a partial one
+        plan = TrialPlan(20, 4, trials=130, seed=6)
+        expected = np.concatenate([m[:, 0] + 0.5 for m in trial_blocks(plan)])
+        stat = lambda panel: panel.members[0] + 0.5
+        if batch:
+            stat.batch = lambda members: members[:, 0] + 0.5
+        values = trial_values(plan, stat)
+        assert values.shape == (130,)
+        assert np.array_equal(values, expected)
+
+    def test_worker_count_independent_with_batch(self, monkeypatch):
+        stat = PanelWasserstein(self.FEATURE)
+        plan = TrialPlan(50, 9, trials=1000, seed=7)
+        monkeypatch.setenv("SORTITION_THREADS", "1")
+        serial = trial_values(plan, stat)
+        monkeypatch.setenv("SORTITION_THREADS", "3")
+        assert np.array_equal(serial, trial_values(plan, stat))
+
+    def test_scalar_failure_reports_trial(self):
+        plan = TrialPlan(20, 4, trials=200, seed=2)
+        first_bad = next(
+            t for t, row in enumerate(np.concatenate(list(trial_blocks(plan))).tolist()) if row[0] == 0
+        )
+
+        def bad(panel):
+            if panel.members[0] == 0:
+                raise ValueError("boom")
+            return 0.0
+
+        with pytest.raises(StatisticError) as err:
+            trial_values(plan, bad)
+        assert err.value.trial == first_bad
+
+    def test_batch_failure_reports_block_start(self):
+        blocks = []
+
+        def stat(panel):
+            return 0.0
+
+        def batch(members):
+            blocks.append(members)
+            if len(blocks) == 2:
+                raise ValueError("boom")
+            return np.zeros(len(members))
+
+        stat.batch = batch
+        with pytest.raises(StatisticError) as err:
+            trial_values(TrialPlan(20, 4, trials=200, seed=2), stat)
+        assert err.value.trial == TRIAL_BLOCK
 
 
 class TestProportionCI:
