@@ -22,6 +22,9 @@ COVER_CAP = 10**7
 
 FEAS_TOL = 1e-12
 
+#: Cover allocations per step of CoreLab.blocked_mask; bounds its working memory.
+SCAN_ROWS = 32
+
 
 @dataclass(frozen=True)
 class LinearCost:
@@ -333,15 +336,13 @@ class CoreWitness:
 
 
 class CoreLab:
-    """Shared tables for scanning one cover for blocking moves.
+    """One cover scanned for blocking moves, with agents grouped by cost row.
 
-    Agents with identical cost rows are grouped, so panel checks reduce to
-    the group counts of the panel. When the grouped tables fit in memory,
-    blocked-allocation masks come from one tensor contraction per panel
-    composition; otherwise the scan falls back to a direct loop.
+    Agents with identical cost rows form one group, so a panel enters a
+    check only through its group counts. ``blocked_mask`` walks the cover
+    ``SCAN_ROWS`` allocations at a time and adds up the panel's nonzero
+    groups, so its working memory stays a few MB at any cover size.
     """
-
-    TABLE_BUDGET = 50_000_000
 
     def __init__(self, inst: PBInstance, cover: np.ndarray):
         self.inst = inst
@@ -351,7 +352,6 @@ class CoreLab:
         self.rows, self.group = np.unique(matrix, axis=0, return_inverse=True)
         self.group = np.asarray(self.group).ravel()
         self.pop_counts = panel_counts(self.group, self.rows.shape[0])
-        self._tables: dict[tuple[float, float], np.ndarray] = {}
 
     @property
     def n_alloc(self) -> int:
@@ -360,35 +360,27 @@ class CoreLab:
     def group_counts(self, panel: Panel) -> np.ndarray:
         return panel_counts(self.group[np.asarray(panel.members)], self.rows.shape[0])
 
-    def _improvement_tables(self, tau: float, rho: float) -> np.ndarray | None:
-        u, N = self.rows.shape
-        if u * N * N > self.TABLE_BUDGET:
-            return None
-        key = (float(tau), float(rho))
-        if key not in self._tables:
-            # entry [r, a, b]: a group-r agent strictly prefers cover[b] to cover[a]
-            self._tables[key] = (
-                rho * self.rows[:, None, :] + tau < self.rows[:, :, None]
-            ).astype(np.int64)
-        return self._tables[key]
-
     def blocked_mask(self, counts: np.ndarray, size: int, eta: float, tau: float, rho: float) -> np.ndarray:
         """Boolean mask over the cover: allocation a admits a blocking move.
 
-        A blocking coalition must be nonempty; the share test alone would
-        let the empty set block via the all-zero allocation at eta = 0.
+        T[a, b] counts the agents, from integer group counts, who strictly
+        prefer cover[b] to cover[a] by the (rho, tau) margin; a is blocked
+        when some b has share[b] * size <= T[a, b] and T[a, b] >= 1. A
+        blocking coalition must be nonempty; the share test alone would let
+        the empty set block via the all-zero allocation at eta = 0. For an
+        integer T the two tests are T[a, b] >= max(1, ceil(share[b] * size)).
         """
-        tables = self._improvement_tables(tau, rho)
-        share = self.sums / self.inst.B + eta
-        if tables is not None:
-            T = np.tensordot(counts, tables, axes=1)  # (N, N)
-            return ((share[None, :] * size <= T) & (T >= 1)).any(axis=1)
+        need = np.maximum(np.ceil((self.sums / self.inst.B + eta) * size), 1.0)
+        groups = np.flatnonzero(counts)
+        weights = np.asarray(counts)[groups].astype(np.int32)
+        better = rho * self.rows[groups] + tau  # (g, N): margin-adjusted cost at each b
         mask = np.empty(self.n_alloc, dtype=bool)
-        agent_costs = self.rows  # (u, N)
-        for a in range(self.n_alloc):
-            improves = rho * agent_costs + tau < agent_costs[:, a][:, None]
-            T_b = counts @ improves
-            mask[a] = bool(np.any((share * size <= T_b) & (T_b >= 1)))
+        for lo in range(0, self.n_alloc, SCAN_ROWS):
+            current = self.rows[groups, lo : lo + SCAN_ROWS, None]  # (g, rows, 1): cost at each a
+            T = np.zeros((current.shape[1], self.n_alloc), dtype=np.int32)
+            for weight, b_cost, a_cost in zip(weights, better, current):
+                T += weight * (b_cost < a_cost)
+            mask[lo : lo + SCAN_ROWS] = (T >= need).any(axis=1)
         return mask
 
     def first_witness(self, x: np.ndarray, counts: np.ndarray, size: int, members: Sequence[int] | None, eta: float, tau: float, rho: float) -> CoreWitness | None:

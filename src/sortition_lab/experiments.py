@@ -2,7 +2,7 @@
 
 Each kind reproduces one verifiable claim at desk scale, emits a CSV table,
 and reports PASS or FAIL against the criterion wired to it. Reruns with the
-same config and seed produce byte-identical CSV regardless of worker count.
+same config and seed produce byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -625,10 +625,13 @@ def _require_above(params: dict, key: str, floor: float):
         raise ValueError(f"{key} must be greater than {floor}")
 
 
-def _validate_k_grid_fits(params: dict, n_key: str):
-    top = max(int(k) for k in params["k_grid"])
-    if top > int(params[n_key]):
-        raise ValueError(f"largest grid k={top} exceeds the population {params[n_key]}")
+def _validate_k_grid_fits(params: dict, k_key: str = "k_grid"):
+    ks = params[k_key]
+    if not ks:
+        return  # rep_sweep picks its own grid
+    top = max(int(k) for k in (ks if isinstance(ks, list) else [ks]))
+    if top > int(params["n"]):
+        raise ValueError(f"panel size k={top} in {k_key} exceeds the population n={params['n']}")
 
 
 def _validate_pb_lower(params: dict, trials: int):
@@ -660,6 +663,7 @@ def _validate_multifacility_impossible(params: dict, trials: int):
 
 def _validate_pb_core(params: dict, trials: int):
     _require_above(params, "step", 0.0)
+    _validate_k_grid_fits(params, "k")
     if int(params["n"]) % 2:
         raise ValueError(f"n={params['n']} must be even to split into two equal blocks")
 
@@ -683,6 +687,7 @@ _register(
         ("eps", "delta"),
         {"n": 128, "n_features": 4, "eps": 0.2, "delta": 0.1, "k_grid": None},
         _run_rep_sweep,
+        lambda params, trials: _validate_k_grid_fits(params),
     )
 )
 _register(
@@ -703,6 +708,7 @@ _register(
         (),
         {"n": 200, "k_list": [25, 100], "t_list": [0.1, 0.2, 0.3], "n_features": 5},
         _run_concentration,
+        lambda params, trials: _validate_k_grid_fits(params, "k_list"),
     )
 )
 _register(
@@ -724,7 +730,7 @@ _register(
         (),
         {"dims": [1, 2], "eps": 0.2, "k_grid": [16, 64, 256], "n": 400},
         _run_facility_welfare,
-        lambda params, trials: _validate_k_grid_fits(params, "n"),
+        lambda params, trials: _validate_k_grid_fits(params),
     )
 )
 _register(
@@ -745,6 +751,7 @@ _register(
         (),
         {"m": 2, "n": 200, "eps": 0.1, "k_grid": [4, 16, 64], "n_instances": 10},
         _run_pb_welfare,
+        lambda params, trials: _validate_k_grid_fits(params),
     )
 )
 _register(
@@ -821,6 +828,13 @@ def validate_config(config: ExperimentConfig) -> KindSpec:
     if missing:
         raise UsageError(f"missing params for {config.kind}: {missing}")
     try:
+        # an empty list or a zero count would leave the criterion nothing to check
+        for key, default in spec.defaults.items():
+            if isinstance(default, list) and not (isinstance(merged[key], list) and merged[key]):
+                raise ValueError(f"{key} must be a nonempty list")
+        for key in ("n_features", "n_instances"):
+            if key in merged and int(merged[key]) < 1:
+                raise ValueError(f"{key} must be at least 1")
         spec.validate(merged, config.trials)
     except ValueError as exc:
         raise UsageError(str(exc)) from None

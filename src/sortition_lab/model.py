@@ -1,9 +1,8 @@
 """Shared domain types: metric spaces, features, discrete distributions, panels.
 
-All types are immutable after construction and safe to share across worker
-threads. Constructors validate their invariants and raise ``ValueError`` on
-bad input; axiom checking with a structured report is available through
-:func:`validate_metric`.
+All types are immutable after construction. Constructors validate their
+invariants and raise ``ValueError`` on bad input; axiom checking with a
+structured report is available through :func:`validate_metric`.
 """
 
 from __future__ import annotations

@@ -4,19 +4,16 @@ Trials are drawn in fixed blocks of ``TRIAL_BLOCK`` = 64. Block ``b`` of a
 plan draws from its own counter-based stream: numpy's ``Philox`` keyed on the
 seed, with ``b`` in the counter (Salmon et al., "Parallel Random Numbers: As
 Easy as 1, 2, 3", SC'11). Distinct seeds therefore give independent streams,
-and a block's panels do not depend on which worker draws it or when. Each
-block is one sorted ``(rows, k)`` member matrix, which a statistic with a
-``batch`` method scores in one call. The ``SORTITION_THREADS`` environment
-variable sets the worker pool (default 1); workers take whole blocks, so
-results never depend on the count.
+and a block's panels do not depend on the order in which blocks are drawn.
+Each block is one sorted ``(rows, k)`` member matrix, which a statistic with
+a ``batch`` method scores in one call; ``trial_values`` walks the blocks in
+one serial loop.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, groupby
@@ -156,10 +153,6 @@ def _weighted_panels(n: int, k: int, mode: Mode) -> Iterator[tuple[tuple[int, ..
             yield members, orderings
 
 
-def _block_count(plan: TrialPlan) -> int:
-    return -(-plan.trials // TRIAL_BLOCK)
-
-
 def block_members(plan: TrialPlan, block: int) -> np.ndarray:
     """Sorted (rows, k) member matrix of one block of trials.
 
@@ -188,70 +181,41 @@ def block_members(plan: TrialPlan, block: int) -> np.ndarray:
 
 def trial_blocks(plan: TrialPlan) -> Iterator[np.ndarray]:
     """Member matrices of every block, in trial order."""
-    for block in range(_block_count(plan)):
+    for block in range(-(-plan.trials // TRIAL_BLOCK)):
         yield block_members(plan, block)
-
-
-def _worker_count() -> int:
-    # Fan-out is opt-in: panel statistics are usually pure Python, where
-    # thread workers only add interpreter-lock contention.
-    env = os.environ.get("SORTITION_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 def trial_values(plan: TrialPlan, statistic: Callable[[Panel], float]) -> np.ndarray:
     """The statistic's value on every trial of the plan, in trial order.
 
     A statistic with a ``batch`` method scores a whole block's member matrix
-    in one call; any other is called on one ``Panel`` per trial. Workers take
-    contiguous runs of blocks, so the values do not depend on the worker
-    count. A failure raises ``StatisticError`` for the first failing trial
-    (for a batch statistic, the first trial of the failing block).
+    in one call; any other is called on one ``Panel`` per trial. A failure
+    raises ``StatisticError`` for the failing trial (for a batch statistic,
+    the first trial of the failing block).
     """
     values = np.empty(plan.trials)
     batch = getattr(statistic, "batch", None)
-    failures: list[StatisticError] = []
-
-    def run_blocks(blocks: range):
-        try:
-            for block in blocks:
-                first = block * TRIAL_BLOCK
-                members = block_members(plan, block)
-                if batch is not None:
-                    try:
-                        values[first : first + len(members)] = batch(members)
-                    except Exception as exc:  # surfaced with the block's first trial
-                        raise StatisticError(first, exc) from exc
-                    continue
-                for t, row in enumerate(members.tolist(), first):
-                    try:
-                        values[t] = float(statistic(Panel(plan.n, tuple(row), plan.mode)))
-                    except Exception as exc:  # surfaced with the trial index
-                        raise StatisticError(t, exc) from exc
-        except StatisticError as err:
-            failures.append(err)
-
-    blocks = _block_count(plan)
-    workers = min(_worker_count(), blocks)
-    if workers <= 1:
-        run_blocks(range(blocks))
-    else:
-        chunk = -(-blocks // workers)
-        runs = [range(blocks)[lo : lo + chunk] for lo in range(0, blocks, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_blocks, runs))
-    if failures:
-        raise min(failures, key=lambda e: e.trial)
+    for block, members in enumerate(trial_blocks(plan)):
+        first = block * TRIAL_BLOCK
+        if batch is not None:
+            try:
+                values[first : first + len(members)] = batch(members)
+            except Exception as exc:  # surfaced with the block's first trial
+                raise StatisticError(first, exc) from exc
+            continue
+        for t, row in enumerate(members.tolist(), first):
+            try:
+                values[t] = float(statistic(Panel(plan.n, tuple(row), plan.mode)))
+            except Exception as exc:  # surfaced with the trial index
+                raise StatisticError(t, exc) from exc
     return values
 
 
 def monte_carlo(plan: TrialPlan, statistic: Callable[[Panel], float]) -> EstimateWithCI:
     """Sample mean of a pure panel statistic with a 95% confidence interval.
 
-    The values come from ``trial_values``, so the estimate does not depend
-    on the worker count or scheduling. For indicator statistics whose
+    The values come from ``trial_values``, so the estimate depends only on
+    the plan and the statistic. For indicator statistics whose
     empirical proportion sits near 0 or 1, the Wilson interval replaces the
     normal approximation.
     """

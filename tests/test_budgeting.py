@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from sortition_lab.budgeting import (
     simplex_cover,
     welfare_experiment,
 )
+from sortition_lab.experiments import two_block_instance
 from sortition_lab.model import Panel, make_camouflaged
 
 
@@ -219,6 +222,65 @@ class TestCoreCheck:
         witness = core_check(inst, (0.0, 1.0), 0.0, 0.0, 1.0, cover, panel=panel)
         assert witness is not None
         assert witness.coalition_fraction == pytest.approx(0.75)
+
+
+def per_allocation_blocked_mask(lab, counts, size, eta, tau, rho):
+    """Frozen copy of the per-allocation loop that CoreLab.blocked_mask replaced."""
+    share = lab.sums / lab.inst.B + eta
+    mask = np.empty(lab.n_alloc, dtype=bool)
+    agent_costs = lab.rows  # (u, N)
+    for a in range(lab.n_alloc):
+        improves = rho * agent_costs + tau < agent_costs[:, a][:, None]
+        T_b = counts @ improves
+        mask[a] = bool(np.any((share * size <= T_b) & (T_b >= 1)))
+    return mask
+
+
+EIGHTHS = st.integers(0, 8).map(lambda i: i / 8)
+
+
+@st.composite
+def grouped_core_cases(draw):
+    """A grouped linear instance, its cover, and group counts on a 1/8 grid."""
+    m = draw(st.sampled_from([2, 3]))
+    alphas = draw(st.lists(st.lists(EIGHTHS, min_size=m, max_size=m), min_size=1, max_size=4))
+    costs = []
+    for alpha in alphas:
+        scale = max(1.0, sum(alpha))
+        costs += [LinearCost(tuple(a / scale for a in alpha))] * draw(st.integers(1, 5))
+    inst = PBInstance(m, draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])), tuple(costs))
+    lab = CoreLab(inst, simplex_cover(m, inst.B, draw(st.sampled_from([0.5, 0.25, 0.125]))))
+    u = lab.rows.shape[0]
+    if draw(st.booleans()):
+        counts, size = lab.pop_counts, inst.n
+    else:
+        counts = np.asarray(draw(st.lists(st.integers(0, 4), min_size=u, max_size=u)), dtype=np.int64)
+        size = max(1, int(counts.sum()))
+    eta, tau = draw(EIGHTHS.map(lambda v: v / 2)), draw(EIGHTHS.map(lambda v: v / 2))
+    rho = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    return lab, counts, size, eta, tau, rho
+
+
+class TestBlockedMask:
+    @settings(max_examples=200, deadline=None)
+    @given(grouped_core_cases())
+    def test_matches_per_allocation_loop(self, case):
+        lab, counts, size, eta, tau, rho = case
+        expected = per_allocation_blocked_mask(lab, counts, size, eta, tau, rho)
+        assert np.array_equal(lab.blocked_mask(counts, size, eta, tau, rho), expected)
+
+    def test_two_masks_stay_small_at_fine_step(self):
+        # 3,321 cover points: a (groups, N, N) int64 table would take 176 MB
+        inst = two_block_instance(200)
+        lab = CoreLab(inst, simplex_cover(2, 1.0, 0.0125))
+        tracemalloc.start()
+        try:
+            lab.blocked_mask(lab.pop_counts, inst.n, 0.25, 0.25, 1.0)
+            lab.blocked_mask(np.array([30, 34]), 64, 0.0, 0.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestWelfare:

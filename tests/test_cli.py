@@ -86,6 +86,10 @@ class TestCliCommands:
             ("multifacility_line", {"ells": [10]}, "ells"),
             ("multifacility_line", {"eps_list": [0.05]}, "k=1600"),
             ("multifacility_impossible", {"k_max": 11, "n": 10}, "k_max=11"),
+            ("concentration", {"k_list": [500]}, "k=500 in k_list"),
+            ("rep_sweep", {"k_grid": [4, 500]}, "k=500 in k_grid"),
+            ("pb_welfare", {"k_grid": [4, 500]}, "k=500 in k_grid"),
+            ("pb_core", {"k": 300}, "k=300 in k"),
         ],
     )
     def test_panels_beyond_population_or_candidates_rejected(self, tmp_path, capsys, kind, params, reason):
@@ -95,6 +99,28 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert reason in captured.err
         assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+    @pytest.mark.parametrize(
+        "kind, params, reason",
+        [
+            ("concentration", {"k_list": []}, "k_list must be a nonempty list"),
+            ("concentration", {"n_features": 0}, "n_features must be at least 1"),
+            ("pb_welfare", {"n_instances": 0}, "n_instances must be at least 1"),
+            ("pb_welfare", {"k_grid": []}, "k_grid must be a nonempty list"),
+            ("facility_welfare", {"dims": []}, "dims must be a nonempty list"),
+            ("multifacility_line", {"ells": []}, "ells must be a nonempty list"),
+        ],
+    )
+    def test_run_that_checks_nothing_rejected(self, tmp_path, capsys, kind, params, reason):
+        cfg = write_config(tmp_path, kind=kind, params=params, trials=50)
+        assert main(["validate", cfg]) == 2
+        assert main(["run", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert reason in captured.err
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+    def test_rep_sweep_empty_grid_still_means_default(self):
+        validate_config(ExperimentConfig("rep_sweep", {"eps": 0.2, "delta": 0.1, "k_grid": []}))
 
     def test_multifacility_line_needs_two_gaps(self, tmp_path, capsys):
         # one instance at one trial leaves a single gap and no confidence interval
@@ -159,35 +185,19 @@ class TestCliCommands:
 
 
 class TestDeterminism:
-    def test_rerun_byte_identical(self, tmp_path):
-        cfg = ExperimentConfig(
-            "concentration",
-            {"n": 40, "k_list": [8], "t_list": [0.2], "n_features": 2},
-            seed=9,
-            trials=400,
-            output=str(tmp_path / "c1.csv"),
-        )
-        run_experiment(cfg)
-        first = (tmp_path / "c1.csv").read_bytes()
-        cfg2 = ExperimentConfig(cfg.kind, cfg.params, cfg.seed, cfg.trials, str(tmp_path / "c2.csv"))
-        run_experiment(cfg2)
-        assert first == (tmp_path / "c2.csv").read_bytes()
+    RERUNS = {
+        "concentration": ({"n": 40, "k_list": [8], "t_list": [0.2], "n_features": 2}, 9, 400),
+        "facility_tail": ({"T": 3.0, "delta": 0.1, "star_k": 25, "n_instances": 1, "n": 60}, 4, 1500),
+    }
 
-    def test_worker_count_does_not_change_csv(self, tmp_path, monkeypatch):
-        paths = []
-        for threads in ("1", "6"):
-            monkeypatch.setenv("SORTITION_THREADS", threads)
-            out = tmp_path / f"w{threads}.csv"
-            cfg = ExperimentConfig(
-                "facility_tail",
-                {"T": 3.0, "delta": 0.1, "star_k": 25, "n_instances": 1, "n": 60},
-                seed=4,
-                trials=1500,
-                output=str(out),
-            )
-            run_experiment(cfg)
-            paths.append(out.read_bytes())
-        assert paths[0] == paths[1]
+    def test_rerun_byte_identical(self, tmp_path):
+        for kind, (params, seed, trials) in self.RERUNS.items():
+            payloads = []
+            for run in (1, 2):
+                out = tmp_path / f"{kind}{run}.csv"
+                run_experiment(ExperimentConfig(kind, params, seed, trials, str(out)))
+                payloads.append(out.read_bytes())
+            assert payloads[0] == payloads[1], kind
 
 
 class TestCsvFormat:

@@ -96,15 +96,6 @@ class TestMonteCarlo:
         assert abs(est.mean - 0.5) < 0.01
         assert est.half_width_95 < 0.005
 
-    def test_worker_count_independent(self, monkeypatch):
-        plan = TrialPlan(30, 5, trials=4000, seed=7)
-        stat = lambda panel: float(sum(panel.members))
-        monkeypatch.setenv("SORTITION_THREADS", "1")
-        serial = monte_carlo(plan, stat)
-        monkeypatch.setenv("SORTITION_THREADS", "7")
-        threaded = monte_carlo(plan, stat)
-        assert serial == threaded
-
     def test_statistic_failure_carries_trial_index(self):
         def bad(panel):
             if panel.members[0] == 0:
@@ -213,13 +204,22 @@ class TestTrialValues:
         assert values.shape == (130,)
         assert np.array_equal(values, expected)
 
-    def test_worker_count_independent_with_batch(self, monkeypatch):
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_block_order_independent(self, batch):
+        # blocks drawn and scored last to first, then put back in trial order
         stat = PanelWasserstein(self.FEATURE)
         plan = TrialPlan(50, 9, trials=1000, seed=7)
-        monkeypatch.setenv("SORTITION_THREADS", "1")
-        serial = trial_values(plan, stat)
-        monkeypatch.setenv("SORTITION_THREADS", "3")
-        assert np.array_equal(serial, trial_values(plan, stat))
+        blocks = range(-(-plan.trials // TRIAL_BLOCK))
+        scored = {}
+        for block in reversed(blocks):
+            members = block_members(plan, block)
+            if batch:
+                scored[block] = stat.batch(members)
+            else:
+                scored[block] = [stat(Panel(plan.n, tuple(row), plan.mode)) for row in members.tolist()]
+        expected = np.concatenate([scored[block] for block in blocks])
+        values = trial_values(plan, stat if batch else (lambda panel: stat(panel)))
+        assert np.array_equal(values, expected)
 
     def test_scalar_failure_reports_trial(self):
         plan = TrialPlan(20, 4, trials=200, seed=2)
