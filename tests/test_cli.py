@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from sortition_lab import experiments, sampling
 from sortition_lab.cli import main
 from sortition_lab.experiments import (
     KINDS,
@@ -198,6 +199,29 @@ class TestDeterminism:
                 run_experiment(ExperimentConfig(kind, params, seed, trials, str(out)))
                 payloads.append(out.read_bytes())
             assert payloads[0] == payloads[1], kind
+
+    def test_worker_count_does_not_change_csv(self, tmp_path, monkeypatch):
+        # however trials are split, each block comes from its own stream:
+        # drawing every block last to first gives the same CSV bytes
+        drawn = []
+
+        def blocks_drawn_backwards(plan):
+            blocks = range(-(-plan.trials // sampling.TRIAL_BLOCK))
+            members = {block: sampling.block_members(plan, block) for block in reversed(blocks)}
+            drawn.append(len(members))
+            yield from (members[block] for block in blocks)
+
+        for kind, (params, seed, trials) in self.RERUNS.items():
+            in_order = tmp_path / f"{kind}-in-order.csv"
+            run_experiment(ExperimentConfig(kind, params, seed, trials, str(in_order)))
+            with monkeypatch.context() as patch:
+                for module in (sampling, experiments):
+                    patch.setattr(module, "trial_blocks", blocks_drawn_backwards)
+                backwards = tmp_path / f"{kind}-backwards.csv"
+                drawn.clear()
+                run_experiment(ExperimentConfig(kind, params, seed, trials, str(backwards)))
+            assert sum(drawn) >= 2, kind
+            assert in_order.read_bytes() == backwards.read_bytes(), kind
 
 
 class TestCsvFormat:
