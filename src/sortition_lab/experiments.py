@@ -531,18 +531,16 @@ def _run_multifacility_line(params: dict, seed: int, trials: int) -> ExperimentR
             pop_w = np.bincount(site_of, minlength=sites.size) / n
             w_stat = representativeness.PanelWasserstein(Feature(inst.space, inst.agents))
             opts = {ell: multifacility.kmedian_line(sites, inst.candidates, ell, pop_w)[0] for ell in ells}
+            tables = {ell: multifacility._LineSets(inst.space, sites, inst.candidates, ell, pop_w) for ell in ells}
             sc_sums = {ell: 0.0 for ell in ells}
             w_sum = 0.0
             plan = TrialPlan(n, k, trials=trials, seed=derived_seed(seed, eps_idx, i_idx, 7))
             for members in trial_blocks(plan):
                 w_sum += float(w_stat.batch(members).sum())
-                for counts in panel_counts(site_of[members], sites.size):
-                    live = counts > 0
-                    pts = sites[live]
-                    wts = counts[live] / k
-                    for ell in ells:
-                        _, chosen = multifacility.kmedian_line(pts, inst.candidates, ell, wts)
-                        sc = float(pop_w @ pairwise(inst.space, sites, chosen).min(axis=1))
+                counts = panel_counts(site_of[members], sites.size)
+                for ell, table in tables.items():
+                    # one float at a time in trial order: np.sum would pair terms up
+                    for sc in table.pop_cost[table.choose(counts, k)].tolist():
                         sc_sums[ell] += sc
                         gap_pool[ell].append(sc - opts[ell])
             for ell in ells:
@@ -625,23 +623,27 @@ def _require_above(params: dict, key: str, floor: float):
         raise ValueError(f"{key} must be greater than {floor}")
 
 
-def _validate_k_grid_fits(params: dict, k_key: str = "k_grid"):
+def _validate_k_grid_fits(params: dict, k_key: str = "k_grid", n: int | None = None):
     ks = params[k_key]
-    if not ks:
+    if ks in (None, []):
         return  # rep_sweep picks its own grid
-    top = max(int(k) for k in (ks if isinstance(ks, list) else [ks]))
-    if top > int(params["n"]):
-        raise ValueError(f"panel size k={top} in {k_key} exceeds the population n={params['n']}")
+    ks = [int(k) for k in (ks if isinstance(ks, list) else [ks])]
+    if min(ks) < 1:
+        raise ValueError(f"panel size k={min(ks)} in {k_key} must be at least 1")
+    n = int(params["n"]) if n is None else n
+    if max(ks) > n:
+        raise ValueError(f"panel size k={max(ks)} in {k_key} exceeds the population n={n}")
 
 
 def _validate_pb_lower(params: dict, trials: int):
-    n = 2 * int(params["h"]) * int(params["w"]) * int(params["r"])
-    top = max(int(k) for k in params["k_grid"])
-    if top > n:
-        raise ValueError(f"largest grid k={top} exceeds the population 2*h*w*r={n}")
+    _validate_k_grid_fits(params, n=2 * int(params["h"]) * int(params["w"]) * int(params["r"]))
 
 
 def _validate_multifacility_line(params: dict, trials: int):
+    for key in ("ells", "eps_list"):
+        values = [float(v) for v in params[key]]
+        if len(set(values)) < len(values):
+            raise ValueError(f"{key} {params[key]} repeats a value; each would count twice")
     bad = [ell for ell in params["ells"] if not 1 <= int(ell) <= SITE_CANDIDATES]
     if bad:
         raise ValueError(f"ells {bad} must lie in 1..{SITE_CANDIDATES}, the candidate count")
@@ -832,7 +834,7 @@ def validate_config(config: ExperimentConfig) -> KindSpec:
         for key, default in spec.defaults.items():
             if isinstance(default, list) and not (isinstance(merged[key], list) and merged[key]):
                 raise ValueError(f"{key} must be a nonempty list")
-        for key in ("n_features", "n_instances"):
+        for key in ("n_features", "n_instances", "n_sites"):
             if key in merged and int(merged[key]) < 1:
                 raise ValueError(f"{key} must be at least 1")
         spec.validate(merged, config.trials)

@@ -8,13 +8,19 @@ once with a running minimum, so ell facilities over C candidates and m
 distinct positions cost O(ell*C*m), with results bit-identical to scoring
 every cut. General metric spaces fall back to brute force over candidate
 subsets with a hard size cap.
+
+For a block of panels on one instance with few candidates (the nine of the
+multifacility_line experiment), ``_LineSets`` scores every facility set at
+once from the panels' site counts and re-solves near-ties with the line DP,
+so it picks what the DP picks. The DP stays the library solver and the
+differential reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +32,10 @@ BRUTE_FORCE_CAP = 200_000
 
 #: Tolerance for the per-panel transport inequality check.
 BOUND_TOL = 1e-9
+
+#: Relative gap between a panel's two cheapest facility sets at or below
+#: which ``_LineSets`` re-solves the panel with ``kmedian_line``.
+TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -149,6 +159,48 @@ def kmedian_line(
 
     cost, ranks = min(row[m] for row in best)
     return float(cost), tuple(cands[i] for i in ranks)
+
+
+class _LineSets:
+    """Every ell-subset of the line candidates, scored for a block of panels.
+
+    On one instance a panel is its integer counts over the distinct agent
+    sites, so its cost for every facility set is one row of
+    ``(counts / k) @ mindist.T``, where ``mindist[s]`` holds each site's
+    distance to its nearest facility in set ``s``. Sets are listed in
+    lexicographic order and ``argmin`` picks each row's cheapest; a row
+    whose two cheapest sets lie within a relative ``TIE_TOL`` (exact ties
+    included) is re-solved with ``kmedian_line``, since rounding may order
+    them differently there. ``pop_cost[s]`` is the population
+    cost of set ``s``, bit-identical to scoring the chosen facilities with
+    ``pairwise``. Scanning all C-choose-ell sets is only sensible because
+    multifacility_line fixes C at 9 (at most 126 sets per ell); elsewhere
+    ``kmedian_line`` is the solver.
+    """
+
+    def __init__(self, space, sites, candidates, ell: int, pop_w):
+        cands = sorted(set(float(c) for c in candidates))
+        idx = np.fromiter(chain.from_iterable(combinations(range(len(cands)), ell)), dtype=np.intp)
+        self.sites = np.asarray(sites, dtype=float)
+        self.candidates = cands
+        self.ell = ell
+        self.sets = list(combinations(cands, ell))
+        self.index = {s: i for i, s in enumerate(self.sets)}
+        dist = pairwise(space, self.sites, cands)
+        self.mindist = np.ascontiguousarray(dist[:, idx.reshape(-1, ell)].min(axis=2).T)
+        self.pop_cost = np.array([pop_w.dot(row) for row in self.mindist])
+
+    def choose(self, counts: np.ndarray, k: int) -> np.ndarray:
+        """Index into ``sets`` of each panel's optimum, for (panels, sites) counts."""
+        costs = (counts / k) @ self.mindist.T
+        chosen = costs.argmin(axis=1)
+        if len(self.sets) > 1:
+            low = np.partition(costs, 1, axis=1)
+            for r in np.flatnonzero(low[:, 1] - low[:, 0] <= TIE_TOL * low[:, 0]):
+                live = counts[r] > 0
+                _, best = kmedian_line(self.sites[live], self.candidates, self.ell, counts[r, live] / k)
+                chosen[r] = self.index[best]
+        return chosen
 
 
 def panel_facilities(inst: MultiFacilityInstance, panel: Panel) -> tuple[float, tuple]:

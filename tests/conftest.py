@@ -1,4 +1,10 @@
 import numpy as np
+from hypothesis import settings
+
+# the properties run numpy-heavy examples whose time varies with the host,
+# so none of them has a per-example deadline
+settings.register_profile("sortition-lab", deadline=None)
+settings.load_profile("sortition-lab")
 
 
 def shortest_path_closure(raw: np.ndarray) -> np.ndarray:

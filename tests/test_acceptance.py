@@ -333,3 +333,20 @@ def test_13_experiment_determinism(tmp_path):
     if changed:
         checks.append((f"kinds whose CSV changed: {changed}", False))
     verdict("experiment-determinism", checks, started, 300.0)
+
+
+# multifacility_line where every panel sees at most three sites and picks 1 to
+# 9 of the 9 candidates: most facility sets tie up to rounding, so many rows
+# take the line-DP fallback of the block choice. The digest (seed 1313) was
+# recorded when every row was solved by the line DP.
+TIE_HEAVY_LINE = {"eps_list": [0.25], "c": 4.0, "ells": list(range(1, 10)), "n_instances": 2, "n": 120, "n_sites": 3}
+TIE_HEAVY_SHA256 = "c79d35987c90140b9ccd1c8892ce8440c583eb9548577af04a5c25263ffe6bf0"
+
+
+def test_13_tie_heavy_multifacility_line_bytes(tmp_path):
+    started = time.perf_counter()
+    out = tmp_path / "ties.csv"
+    run_experiment(ExperimentConfig("multifacility_line", TIE_HEAVY_LINE, seed=1313, trials=60, output=str(out)))
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    checks = [("tie-heavy multifacility_line CSV sha256 matches the recorded digest", digest == TIE_HEAVY_SHA256)]
+    verdict("tie-heavy-line-determinism", checks, started, 60.0)

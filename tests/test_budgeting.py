@@ -76,7 +76,7 @@ class TestEvalCost:
         x=st.lists(st.floats(0, 1), min_size=3, max_size=3),
         y=st.lists(st.floats(0, 1), min_size=3, max_size=3),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_lipschitz_and_range(self, x, y):
         l1 = sum(abs(a - b) for a, b in zip(x, y))
         for model in all_models():
@@ -85,7 +85,7 @@ class TestEvalCost:
             assert abs(cx - cy) <= l1 + 1e-9
 
     @given(x=st.lists(st.floats(0, 1), min_size=3, max_size=3), data=st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_monotone_in_funding(self, x, data):
         y = [data.draw(st.floats(xi, 1)) for xi in x]
         for model in all_models():
@@ -262,7 +262,7 @@ def grouped_core_cases(draw):
 
 
 class TestBlockedMask:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(grouped_core_cases())
     def test_matches_per_allocation_loop(self, case):
         lab, counts, size, eta, tau, rho = case

@@ -91,6 +91,13 @@ class TestCliCommands:
             ("rep_sweep", {"k_grid": [4, 500]}, "k=500 in k_grid"),
             ("pb_welfare", {"k_grid": [4, 500]}, "k=500 in k_grid"),
             ("pb_core", {"k": 300}, "k=300 in k"),
+            ("concentration", {"k_list": [0]}, "k=0 in k_list must be at least 1"),
+            ("concentration", {"k_list": [-3]}, "k=-3 in k_list must be at least 1"),
+            ("pb_core", {"k": 0}, "k=0 in k must be at least 1"),
+            ("pb_welfare", {"k_grid": [0, 4]}, "k=0 in k_grid must be at least 1"),
+            ("pb_lower", {"k_grid": [0, 4]}, "k=0 in k_grid must be at least 1"),
+            ("rep_sweep", {"eps": 0.2, "delta": 0.1, "k_grid": [0, 4]}, "k=0 in k_grid must be at least 1"),
+            ("facility_welfare", {"k_grid": [0, 4]}, "k=0 in k_grid must be at least 1"),
         ],
     )
     def test_panels_beyond_population_or_candidates_rejected(self, tmp_path, capsys, kind, params, reason):
@@ -110,9 +117,28 @@ class TestCliCommands:
             ("pb_welfare", {"k_grid": []}, "k_grid must be a nonempty list"),
             ("facility_welfare", {"dims": []}, "dims must be a nonempty list"),
             ("multifacility_line", {"ells": []}, "ells must be a nonempty list"),
+            ("multifacility_line", {"n_sites": 0}, "n_sites must be at least 1"),
+            ("multifacility_line", {"n_sites": -1}, "n_sites must be at least 1"),
         ],
     )
     def test_run_that_checks_nothing_rejected(self, tmp_path, capsys, kind, params, reason):
+        cfg = write_config(tmp_path, kind=kind, params=params, trials=50)
+        assert main(["validate", cfg]) == 2
+        assert main(["run", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert reason in captured.err
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+    @pytest.mark.parametrize(
+        "kind, params, reason",
+        [
+            ("multifacility_line", {"ells": [2, 2]}, "ells [2, 2] repeats a value"),
+            ("multifacility_line", {"eps_list": [0.2, 0.2]}, "eps_list [0.2, 0.2] repeats a value"),
+        ],
+    )
+    def test_repeated_values_rejected(self, tmp_path, capsys, kind, params, reason):
+        # a repeated facility count would write its rows twice and pool every
+        # gap twice, narrowing that count's confidence interval
         cfg = write_config(tmp_path, kind=kind, params=params, trials=50)
         assert main(["validate", cfg]) == 2
         assert main(["run", "--config", cfg]) == 2

@@ -91,7 +91,7 @@ class TestPairwise:
     """pairwise must equal the scalar distance bit for bit, not approximately."""
 
     @given(xs=st.lists(st.floats(-3.0, 5.0), max_size=8), ys=st.lists(st.floats(-3.0, 5.0), max_size=8))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_segment(self, xs, ys):
         space = Segment(-3.0, 5.0)
         assert np.array_equal(pairwise(space, xs, ys), _scalar_matrix(space, xs, ys))
@@ -101,7 +101,7 @@ class TestPairwise:
     @pytest.mark.parametrize("norm", [Norm.L1, Norm.LINF])
     @pytest.mark.parametrize("dim", [1, 2, 5, 9, 12])
     @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_box(self, norm, dim, data):
         point = st.tuples(*[unit] * dim)
         xs = data.draw(st.lists(point, min_size=1, max_size=6))
@@ -110,7 +110,7 @@ class TestPairwise:
         assert np.array_equal(pairwise(space, xs, ys), _scalar_matrix(space, xs, ys))
 
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_finite_metric(self, data):
         n = data.draw(st.integers(1, 6))
         raw = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=n * n, max_size=n * n)))
@@ -125,7 +125,7 @@ class TestPanelCounts:
         assert panel_counts([0, 2, 2], 4).tolist() == [1, 0, 2, 0]
 
     @given(data=st.data())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_matrix_rows_match_single_panels(self, data):
         size = data.draw(st.integers(1, 8))
         k = data.draw(st.integers(1, 6))

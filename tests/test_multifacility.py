@@ -7,10 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sortition_lab.experiments import SITE_CANDIDATES
 from sortition_lab.facility import FacilityInstance, panel_optimum
-from sortition_lab.model import Panel, Segment
+from sortition_lab.model import Panel, Segment, pairwise
 from sortition_lab.multifacility import (
     MultiFacilityInstance,
+    _LineSets,
     brute_force_facilities,
     impossibility_instance,
     kmedian_line,
@@ -96,6 +98,38 @@ def grid_instances(draw):
     raw = draw(st.none() | st.lists(st.integers(1, 9), min_size=len(points), max_size=len(points)))
     weights = None if raw is None else [w / sum(raw) for w in raw]
     return points, candidates, ell, weights
+
+
+SITE_GRID = tuple(float(c) for c in np.linspace(0.0, 1.0, SITE_CANDIDATES))
+
+
+@st.composite
+def site_blocks(draw):
+    """Distinct sites, a block of panel counts over them and a facility count.
+
+    The mirrored form puts sites at x and 1 - x with equal counts, so
+    mirror-image facility sets over the symmetric candidate grid cost the
+    same up to rounding: the near-ties that plain argmin may order
+    differently from the line DP."""
+    mirrored = draw(st.booleans())
+    half = st.floats(0.0, 0.5 if mirrored else 1.0)
+    xs = draw(st.lists(half, min_size=1, max_size=5 if mirrored else 10))
+    sites = sorted(set(xs + [1.0 - x for x in xs] if mirrored else xs))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        at = dict.fromkeys(sites, 0)
+        for x in xs:
+            c = draw(st.integers(0, 5))
+            at[x] += c
+            if mirrored:
+                at[1.0 - x] += c
+        if not any(at.values()):
+            at[sites[0]] = 1
+        rows.append([at[x] for x in sites])
+    counts = np.asarray(rows)
+    k = int(counts.sum(axis=1).max())
+    ell = draw(st.integers(1, len(SITE_GRID)))
+    return np.asarray(sites), counts, k, ell
 
 
 def random_instance(rng, n_agents=8, n_candidates=6, ell=2) -> MultiFacilityInstance:
@@ -186,13 +220,31 @@ class TestKMedianLine:
     @given(grid_instances())
     @example(((0.3, 0.8), (0.0, 0.1, 0.5), 2, None))
     @example(((4 / 7, 6 / 7), (3 / 7, 2 / 7, 5 / 7), 2, (1 / 7, 6 / 7)))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_matches_quadratic_recurrence_exactly(self, instance):
         points, candidates, ell, weights = instance
         want = quadratic_kmedian_line(points, candidates, ell, weights)
         got = kmedian_line(np.asarray(points), candidates, ell, weights)
         assert got == want
         assert type(got[0]) is float and all(type(q) is float for q in got[1])
+
+
+class TestLineSets:
+    @given(site_blocks())
+    # sites 0.05 and 0.95 with one panel member each: every 3-set holding 0
+    # and 1 costs 0.05, plain argmin takes (0, 1/8, 1) and the DP (0, 1/4, 1)
+    @example((np.array([0.05, 1 - 0.05]), np.array([[1, 1]]), 2, 3))
+    @settings(max_examples=300)
+    def test_block_choice_matches_line_dp(self, block):
+        sites, counts, k, ell = block
+        pop_w = np.full(sites.size, 1.0 / sites.size)
+        table = _LineSets(LINE, sites, SITE_GRID, ell, pop_w)
+        for row, s in zip(counts, table.choose(counts, k)):
+            live = row > 0
+            cost, best = kmedian_line(sites[live], SITE_GRID, ell, row[live] / k)
+            assert table.sets[s] == best
+            assert float(row / k @ table.mindist[s]) == pytest.approx(cost, rel=1e-12, abs=1e-15)
+            assert table.pop_cost[s] == float(pop_w @ pairwise(LINE, sites, best).min(axis=1))
 
 
 class TestPanelBound:

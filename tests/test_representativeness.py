@@ -102,7 +102,7 @@ class TestPanelWasserstein:
             assert value == pytest.approx(stat(Panel(12, tuple(row))), abs=1e-14)
 
     @given(data=st.data())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_batch_matches_scalar_on_drawn_blocks(self, data):
         n = data.draw(st.integers(1, 40))
         mode = data.draw(st.sampled_from(list(Mode)))
