@@ -280,10 +280,6 @@ def uniform_weights(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def panel_weights(n: int, panel: Panel) -> np.ndarray:
-    return panel_counts(panel.members, n) / panel.k
-
-
 def optimal_allocation(
     inst: PBInstance,
     weights: np.ndarray | None = None,
@@ -315,14 +311,14 @@ def optimal_allocation(
 
 def _greedy_fill(agg: np.ndarray, B: float) -> np.ndarray:
     """Fund projects by decreasing aggregate weight (ties to the lower index),
-    each capped at 1, until the budget B runs out."""
-    x = np.zeros(agg.size)
-    remaining = B
-    for j in sorted(range(agg.size), key=lambda j: (-agg[j], j)):
-        if remaining <= 0:
-            break
-        x[j] = min(1.0, remaining)
-        remaining -= x[j]
+    each capped at 1, until the budget B runs out.
+
+    ``agg`` is one weight vector or a matrix filled row by row; the project
+    in sorted place i gets the exact remainder ``clip(B - i, 0, 1)``.
+    """
+    order = np.argsort(-agg, axis=-1, kind="stable")
+    x = np.zeros(agg.shape)
+    np.put_along_axis(x, order, np.clip(B - np.arange(agg.shape[-1]), 0.0, 1.0), axis=-1)
     return x
 
 
@@ -338,10 +334,11 @@ class CoreWitness:
 class CoreLab:
     """One cover scanned for blocking moves, with agents grouped by cost row.
 
-    Agents with identical cost rows form one group, so a panel enters a
-    check only through its group counts. ``blocked_mask`` walks the cover
-    ``SCAN_ROWS`` allocations at a time and adds up the panel's nonzero
-    groups, so its working memory stays a few MB at any cover size.
+    Agents with identical cost rows form one group, numbered in order of
+    first appearance, so a panel enters a check only through its group
+    counts. ``blocked_mask`` walks the cover ``SCAN_ROWS`` allocations at a
+    time and adds up the panel's nonzero groups, so its working memory stays
+    a few MB at any cover size.
     """
 
     def __init__(self, inst: PBInstance, cover: np.ndarray):
@@ -349,8 +346,11 @@ class CoreLab:
         self.cover = np.asarray(cover, dtype=float)
         self.sums = self.cover.sum(axis=1)
         matrix = cost_matrix(inst, self.cover)
-        self.rows, self.group = np.unique(matrix, axis=0, return_inverse=True)
-        self.group = np.asarray(self.group).ravel()
+        # hashing each row's bytes is linear, where sorting the rows is not
+        numbers: dict[bytes, int] = {}
+        self.group = np.array([numbers.setdefault(row.tobytes(), len(numbers)) for row in matrix])
+        self.reps = np.unique(self.group, return_index=True)[1]  # first agent of each group
+        self.rows = matrix[self.reps]
         self.pop_counts = panel_counts(self.group, self.rows.shape[0])
 
     @property
@@ -384,7 +384,7 @@ class CoreLab:
         return mask
 
     def first_witness(self, x: np.ndarray, counts: np.ndarray, size: int, members: Sequence[int] | None, eta: float, tau: float, rho: float) -> CoreWitness | None:
-        cx_groups = np.array([_cost_of(self.inst, gi, x) for gi in self._group_reps()])
+        cx_groups = np.array([_cost_of(self.inst, gi, x) for gi in self.reps])
         improves = rho * self.rows + tau < cx_groups[:, None]  # (u, N)
         T_b = counts @ improves
         feasible = (self.sums / self.inst.B + eta <= T_b / size) & (T_b >= 1)
@@ -398,13 +398,6 @@ class CoreLab:
             i for i in pool if rho * self.rows[self.group[i], b] + tau < _cost_of(self.inst, i, x)
         )
         return CoreWitness(alt, coalition, len(coalition) / size)
-
-    def _group_reps(self) -> list[int]:
-        reps = [-1] * self.rows.shape[0]
-        for i, g in enumerate(self.group):
-            if reps[g] < 0:
-                reps[g] = i
-        return reps
 
 
 def _cost_of(inst: PBInstance, agent: int, x: np.ndarray) -> float:
@@ -519,22 +512,25 @@ def welfare_experiment(
         pop_agg = A.mean(axis=0)
         pop_base = float(A.sum(axis=1).mean())
 
-        def statistic(panel: Panel) -> float:
-            agg = A[np.asarray(panel.members)].mean(axis=0)
-            return pop_base - float(pop_agg @ _greedy_fill(agg, inst.B))
+        def statistic(members: np.ndarray) -> np.ndarray:
+            x = _greedy_fill(A[members].mean(axis=1), inst.B)
+            # a stacked matmul takes one dot per row, the same bits as pop_agg @ row
+            return pop_base - np.matmul(pop_agg, x[:, :, None])[:, 0]
 
     else:
         M = cost_matrix(inst, cover)
         pop_costs = M.mean(axis=0)
 
-        def statistic(panel: Panel) -> float:
-            costs = panel_weights(inst.n, panel) @ M
+        def statistic(members: np.ndarray) -> np.ndarray:
+            weights = panel_counts(members, inst.n) / k
+            # one vector-matrix product per row: a single gemm may round differently
+            costs = np.matmul(weights[:, None, :], M)[:, 0]
             if exact_decision:
-                idx = int(np.argmin(costs))
+                idx = np.argmin(costs, axis=1)
             else:
-                target = rho * float(costs.min()) + tau
-                idx = int(np.argmax(costs <= target + FEAS_TOL))
-            return float(pop_costs[idx])
+                target = rho * costs.min(axis=1) + tau
+                idx = np.argmax(costs <= (target + FEAS_TOL)[:, None], axis=1)
+            return pop_costs[idx]
 
     plan = TrialPlan(n=inst.n, k=k, mode=mode, trials=trials, seed=seed)
     est = monte_carlo(plan, statistic)

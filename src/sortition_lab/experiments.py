@@ -21,9 +21,8 @@ from .model import (
     Feature,
     Mode,
     Norm,
-    Panel,
     Segment,
-    majority_estimator,
+    majority_signs,
     make_camouflaged,
     pairwise,
     panel_counts,
@@ -200,13 +199,9 @@ def _tail_estimate(inst, T, delta, k, trials, seed):
     opt = float(cd.social[q_idx])
     q_star = inst.candidates[q_idx]
     dist_to_opt = pairwise(inst.space, inst.candidates, [q_star])[:, 0]
-
-    def statistic(panel: Panel) -> float:
-        chosen = cd.panel_optimum_index(panel.members)
-        return 1.0 if dist_to_opt[chosen] <= T * opt + 1e-12 else 0.0
-
+    within = (dist_to_opt <= T * opt + 1e-12).astype(float)  # one indicator per candidate
     plan = TrialPlan(n=inst.n, k=k, mode=Mode.WITHOUT_REPLACEMENT, trials=trials, seed=seed)
-    return monte_carlo(plan, statistic)
+    return monte_carlo(plan, lambda members: within[cd.panel_optimum_index(members)])
 
 
 def _run_facility_tail(params: dict, seed: int, trials: int) -> ExperimentResult:
@@ -267,12 +262,9 @@ def _run_facility_welfare(params: dict, seed: int, trials: int) -> ExperimentRes
         opt = float(cd.social.min())
         gaps = []
         for k_idx, k in enumerate(k_grid):
-            def statistic(panel: Panel) -> float:
-                return float(cd.social[cd.panel_optimum_index(panel.members)])
-
             plan = TrialPlan(n=n, k=k, mode=Mode.WITHOUT_REPLACEMENT, trials=trials,
                              seed=derived_seed(seed, d_idx, k_idx))
-            est = monte_carlo(plan, statistic)
+            est = monte_carlo(plan, lambda members: cd.social[cd.panel_optimum_index(members)])
             gaps.append((est.mean, est.half_width_95))
             rows.append(
                 {
@@ -452,17 +444,16 @@ def _run_pb_lower(params: dict, seed: int, trials: int) -> ExperimentResult:
     )
     pop = make_camouflaged(z, h, w, r)
     labels = np.asarray(pop.labels)
+
+    def recovered(members: np.ndarray) -> np.ndarray:
+        guess = majority_signs(panel_counts(labels[members], 2 * h + 1), h)
+        return (np.abs(guess - z).sum(axis=1) <= h / 4.0).astype(float)
+
     rows = []
     rates = []
     for k_idx, k in enumerate(k_grid):
-        hits = 0
         plan = TrialPlan(pop.n, k, trials=trials, seed=derived_seed(seed, k_idx))
-        for members in trial_blocks(plan):
-            for panel_labels in labels[members].tolist():
-                guess = majority_estimator(panel_labels, h)
-                l1 = sum(abs(g - s) for g, s in zip(guess, z))
-                hits += 1 if l1 <= h / 4.0 else 0
-        est = proportion_ci(hits, trials)
+        est = proportion_ci(int(trial_values(plan, recovered).sum()), trials)
         rates.append(est)
         rows.append(
             {

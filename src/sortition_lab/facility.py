@@ -27,6 +27,9 @@ from .model import (
 
 COVER_CAP = 10**7
 
+#: Distances gathered per step of CandidateDistances.panel_optimum_index (8 MB).
+GATHER_CELLS = 2**20
+
 
 @dataclass(frozen=True)
 class FacilityInstance:
@@ -92,9 +95,18 @@ class CandidateDistances:
     def optimum_index(self) -> int:
         return int(np.argmin(self.social))
 
-    def panel_optimum_index(self, members: Sequence[int]) -> int:
-        costs = self.matrix[:, np.asarray(members)].mean(axis=1)
-        return int(np.argmin(costs))
+    def panel_optimum_index(self, members) -> int | np.ndarray:
+        """Least-cost candidate (ties to the smallest index) of one panel, as an
+        int, or of each row of a ``(rows, k)`` member matrix, gathered a few
+        rows at a time."""
+        members = np.asarray(members)
+        if members.ndim == 1:  # the exact enumerations call this once per panel
+            return int(np.argmin(self.matrix[:, members].mean(axis=-1)))
+        step = max(1, GATHER_CELLS // (self.matrix.shape[0] * members.shape[1]))
+        return np.concatenate([
+            np.argmin(self.matrix[:, members[lo : lo + step]].mean(axis=-1), axis=0)
+            for lo in range(0, len(members), step)
+        ])
 
 
 def social_cost(inst: FacilityInstance, q) -> float:

@@ -517,10 +517,13 @@ def majority_estimator(panel_values: Sequence[int], h: int) -> tuple[int, ...]:
     Entry j is +1 iff label 2j occurs strictly more often than label 2j-1;
     ties resolve to -1 so repeated runs are reproducible.
     """
-    counts = [0] * (2 * h + 1)
-    for v in panel_values:
-        v = int(v)
-        if not 1 <= v <= 2 * h:
-            raise ValueError(f"label {v} out of range 1..{2 * h}")
-        counts[v] += 1
-    return tuple(1 if counts[2 * j] > counts[2 * j - 1] else -1 for j in range(1, h + 1))
+    values = np.asarray(panel_values, dtype=int)
+    bad = values[(values < 1) | (values > 2 * h)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} out of range 1..{2 * h}")
+    return tuple(majority_signs(panel_counts(values, 2 * h + 1), h).tolist())
+
+
+def majority_signs(counts: np.ndarray, h: int) -> np.ndarray:
+    """``majority_estimator``'s rule on label counts (columns 0..2h), one row per panel."""
+    return np.where(counts[..., 2 : 2 * h + 1 : 2] > counts[..., 1 : 2 * h : 2], 1, -1)

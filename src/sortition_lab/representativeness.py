@@ -158,13 +158,8 @@ def min_k_sweep(
 
     stats = [PanelWasserstein(f) for f in features]
 
-    def failure(panel: Panel) -> float:
-        return 1.0 if any(s(panel) > eps + DECISION_TOL for s in stats) else 0.0
-
-    def failure_batch(members: np.ndarray) -> np.ndarray:
+    def failure(members: np.ndarray) -> np.ndarray:
         return np.any([s.batch(members) > eps + DECISION_TOL for s in stats], axis=0).astype(float)
-
-    failure.batch = failure_batch
 
     rows = []
     recommended = None

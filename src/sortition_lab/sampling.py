@@ -5,8 +5,8 @@ plan draws from its own counter-based stream: numpy's ``Philox`` keyed on the
 seed, with ``b`` in the counter (Salmon et al., "Parallel Random Numbers: As
 Easy as 1, 2, 3", SC'11). Distinct seeds therefore give independent streams,
 and a block's panels do not depend on the order in which blocks are drawn.
-Each block is one sorted ``(rows, k)`` member matrix, which a statistic with
-a ``batch`` method scores in one call; ``trial_values`` walks the blocks in
+Each block is one sorted ``(rows, k)`` member matrix, which a statistic maps
+to its ``(rows,)`` values in one call; ``trial_values`` walks the blocks in
 one serial loop.
 """
 
@@ -98,11 +98,8 @@ def draw_panel(n: int, k: int, mode: Mode, rng: np.random.Generator) -> Panel:
     Without replacement: partial Fisher-Yates over 0..n-1, so every k-subset
     has probability 1 / C(n, k). With replacement: k i.i.d. uniform indices.
     """
-    if k < 1:
-        raise ValueError("panel size must be at least 1")
+    TrialPlan(n, k, mode)  # the panel-size checks of a Monte Carlo plan
     if mode is Mode.WITHOUT_REPLACEMENT:
-        if k > n:
-            raise ValueError(f"k={k} exceeds n={n} without replacement")
         # swaps on a list of ints: the same swaps on numpy scalars cost
         # several times more per element
         idx = list(range(n))
@@ -185,34 +182,36 @@ def trial_blocks(plan: TrialPlan) -> Iterator[np.ndarray]:
         yield block_members(plan, block)
 
 
-def trial_values(plan: TrialPlan, statistic: Callable[[Panel], float]) -> np.ndarray:
+def trial_values(plan: TrialPlan, statistic: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """The statistic's value on every trial of the plan, in trial order.
 
-    A statistic with a ``batch`` method scores a whole block's member matrix
-    in one call; any other is called on one ``Panel`` per trial. A failure
-    raises ``StatisticError`` for the failing trial (for a batch statistic,
-    the first trial of the failing block).
+    The statistic maps a block's ``(rows, k)`` member matrix to ``(rows,)``
+    values, through its ``batch`` method if it has one (``PanelWasserstein``).
+    A failure raises ``StatisticError`` for the first row of the failing block
+    that fails alone, else for the block's first trial.
     """
+    score = getattr(statistic, "batch", statistic)
     values = np.empty(plan.trials)
-    batch = getattr(statistic, "batch", None)
     for block, members in enumerate(trial_blocks(plan)):
         first = block * TRIAL_BLOCK
-        if batch is not None:
-            try:
-                values[first : first + len(members)] = batch(members)
-            except Exception as exc:  # surfaced with the block's first trial
-                raise StatisticError(first, exc) from exc
-            continue
-        for t, row in enumerate(members.tolist(), first):
-            try:
-                values[t] = float(statistic(Panel(plan.n, tuple(row), plan.mode)))
-            except Exception as exc:  # surfaced with the trial index
-                raise StatisticError(t, exc) from exc
+        try:
+            values[first : first + len(members)] = score(members)
+        except Exception as exc:  # surfaced with the failing trial
+            raise StatisticError(_failing_trial(score, members, first), exc) from exc
     return values
 
 
-def monte_carlo(plan: TrialPlan, statistic: Callable[[Panel], float]) -> EstimateWithCI:
-    """Sample mean of a pure panel statistic with a 95% confidence interval.
+def _failing_trial(score, members: np.ndarray, first: int) -> int:
+    for trial, row in enumerate(members, first):
+        try:
+            score(row[None, :])
+        except Exception:
+            return trial
+    return first
+
+
+def monte_carlo(plan: TrialPlan, statistic: Callable[[np.ndarray], np.ndarray]) -> EstimateWithCI:
+    """Sample mean of a pure block statistic with a 95% confidence interval.
 
     The values come from ``trial_values``, so the estimate depends only on
     the plan and the statistic. For indicator statistics whose

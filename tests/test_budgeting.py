@@ -1,10 +1,14 @@
+import copy
+import hashlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sortition_lab import budgeting
 from sortition_lab.budgeting import (
     CoreLab,
     GridTableCost,
@@ -19,7 +23,6 @@ from sortition_lab.budgeting import (
     impossibility_budget_split,
     impossibility_zero_allocation,
     optimal_allocation,
-    panel_weights,
     pb_impossibility_family,
     pb_instance_from_dict,
     pb_lower_instance,
@@ -27,8 +30,9 @@ from sortition_lab.budgeting import (
     simplex_cover,
     welfare_experiment,
 )
-from sortition_lab.experiments import two_block_instance
-from sortition_lab.model import Panel, make_camouflaged
+from sortition_lab.experiments import ExperimentConfig, run_experiment, two_block_instance
+from sortition_lab.model import Panel, make_camouflaged, panel_counts
+from sortition_lab.sampling import trial_blocks, trial_values
 
 
 def all_models(m=3):
@@ -283,6 +287,75 @@ class TestBlockedMask:
         assert peak < 32e6
 
 
+def unique_grouped(lab):
+    """Frozen copy of the grouping CoreLab.__init__ replaced: np.unique over the
+    cost rows, numbering groups in lexicographic row order, with the first
+    agent of each group found by a scan."""
+    frozen = copy.copy(lab)
+    rows, group = np.unique(cost_matrix(lab.inst, lab.cover), axis=0, return_inverse=True)
+    frozen.rows, frozen.group = rows, np.asarray(group).ravel()
+    frozen.pop_counts = panel_counts(frozen.group, rows.shape[0])
+    frozen.reps = [-1] * rows.shape[0]
+    for i, g in enumerate(frozen.group):
+        if frozen.reps[g] < 0:
+            frozen.reps[g] = i
+    return frozen
+
+
+COST_POOL = (
+    LinearCost((1.0, 0.0)),
+    LinearCost((0.0, 1.0)),
+    LinearCost((0.25, 0.5)),
+    LinearCost((0.5, 0.125)),
+    SaturatingShortfallCost(1.0),
+    SaturatingShortfallCost(2.0),
+)
+
+
+class TestCoreGrouping:
+    @settings(max_examples=100)
+    @given(
+        st.lists(st.sampled_from(COST_POOL), min_size=2, max_size=12),
+        st.sampled_from([0.5, 0.25, 0.125]),
+        st.data(),
+    )
+    def test_matches_unique_grouping(self, costs, step, data):
+        inst = PBInstance(2, 1.0, tuple(costs))
+        lab = CoreLab(inst, simplex_cover(2, inst.B, step))
+        frozen = unique_grouped(lab)
+        members = np.sort(data.draw(st.lists(st.integers(0, inst.n - 1), min_size=1, max_size=8)))
+        eta, tau = data.draw(EIGHTHS.map(lambda v: v / 2)), data.draw(EIGHTHS.map(lambda v: v / 2))
+        rho = data.draw(st.sampled_from([1.0, 1.5]))
+        x = lab.cover[data.draw(st.integers(0, lab.n_alloc - 1))]
+        for size, who in ((inst.n, None), (len(members), members)):
+            new, old = (
+                this.pop_counts if who is None else panel_counts(this.group[who], this.rows.shape[0])
+                for this in (lab, frozen)
+            )
+            assert np.array_equal(
+                lab.blocked_mask(new, size, eta, tau, rho), frozen.blocked_mask(old, size, eta, tau, rho)
+            )
+            assert lab.first_witness(x, new, size, who, eta, tau, rho) == frozen.first_witness(
+                x, old, size, who, eta, tau, rho
+            )
+
+    def test_two_block_groups_in_order_of_appearance(self):
+        # np.unique put the second block's rows first; first appearance does not
+        lab = CoreLab(two_block_instance(40), simplex_cover(2, 1.0, 0.05))
+        assert lab.group.tolist() == [0] * 20 + [1] * 20
+        assert unique_grouped(lab).group.tolist() == [1] * 20 + [0] * 20
+
+    def test_mixed_failure_rate_csv_bytes(self, tmp_path):
+        # failure rate 0.222, strictly inside (0, 1), so a mix-up of groups
+        # and cost rows would move it; recorded with the np.unique grouping
+        out = tmp_path / "core.csv"
+        params = {"n": 40, "k": 3, "step": 0.05, "eps": 0.1}
+        run_experiment(ExperimentConfig("pb_core", params, seed=0, trials=500, output=str(out)))
+        assert out.read_text().splitlines()[1] == "3,0.1,0,0,1,0.222,0.03642817,0"
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "441bf08dc4c6c1793d9d77c2ed65a83dd8e5319777f545279d759a2092e286bf"
+
+
 class TestWelfare:
     def test_identical_agents_have_no_gap(self):
         inst = PBInstance(2, 1.0, (LinearCost((0.6, 0.2)),) * 20)
@@ -302,6 +375,110 @@ class TestWelfare:
         )
         assert report.mean_social_cost <= report.rho * report.social_opt + report.tau + 0.3 + 3 * report.ci_half_width
 
+
+def frozen_greedy_fill(agg, B):
+    """Frozen copy of the one-vector greedy loop that the row-wise fill replaced."""
+    x = np.zeros(agg.size)
+    remaining = B
+    for j in sorted(range(agg.size), key=lambda j: (-agg[j], j)):
+        if remaining <= 0:
+            break
+        x[j] = min(1.0, remaining)
+        remaining -= x[j]
+    return x
+
+
+def frozen_welfare_statistic(inst, rho, tau, cover):
+    """Frozen copy of welfare_experiment's one-panel statistic."""
+    exact_decision = rho == 1.0 and tau == 0.0
+    if exact_decision and all(isinstance(c, LinearCost) for c in inst.costs):
+        A = np.asarray([c.alpha for c in inst.costs])
+        pop_agg = A.mean(axis=0)
+        pop_base = float(A.sum(axis=1).mean())
+
+        def statistic(panel):
+            agg = A[np.asarray(panel.members)].mean(axis=0)
+            return pop_base - float(pop_agg @ frozen_greedy_fill(agg, inst.B))
+
+        return statistic
+    M = cost_matrix(inst, cover)
+    pop_costs = M.mean(axis=0)
+
+    def statistic(panel):
+        costs = panel_counts(panel.members, inst.n) / panel.k @ M
+        if exact_decision:
+            idx = int(np.argmin(costs))
+        else:
+            target = rho * float(costs.min()) + tau
+            idx = int(np.argmax(costs <= target + 1e-12))
+        return float(pop_costs[idx])
+
+    return statistic
+
+
+def welfare_values(inst, k, rho, tau, cover, seed):
+    """Trial values of welfare_experiment's block statistic and of the frozen one-panel form."""
+    with mock.patch.object(budgeting, "monte_carlo", wraps=budgeting.monte_carlo) as spy:
+        welfare_experiment(inst, k, 0.1, rho=rho, tau=tau, trials=150, seed=seed, cover=cover)
+    plan, statistic = spy.call_args.args
+    scalar = frozen_welfare_statistic(inst, rho, tau, cover)
+    rows = np.concatenate(list(trial_blocks(plan))).tolist()
+    return trial_values(plan, statistic), np.array([scalar(Panel(plan.n, tuple(r), plan.mode)) for r in rows])
+
+
+SIXTEENTHS = st.integers(0, 16).map(lambda i: i / 16)
+
+
+class TestWelfareBlocks:
+    @settings(max_examples=300)
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda m: st.lists(st.lists(SIXTEENTHS, min_size=m, max_size=m), min_size=1, max_size=20)
+        ),
+        st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 2.75, 3.0, 5.0]),
+    )
+    def test_greedy_fill_rows_match_loop(self, agg, B):
+        agg = np.asarray(agg)
+        expected = np.array([frozen_greedy_fill(row, B) for row in agg])
+        assert np.array_equal(budgeting._greedy_fill(agg, B), expected)
+        assert np.array_equal(budgeting._greedy_fill(agg[0], B), expected[0])
+
+    @settings(max_examples=40)
+    @given(st.integers(2, 4), st.integers(2, 60), st.integers(0, 2**32), st.booleans(), st.data())
+    def test_greedy_statistic_matches_one_panel_form(self, m, n, seed, coarse, data):
+        # random weights exercise the rounding of each dot; coarse ones tie often
+        rng = np.random.default_rng(seed)
+        alphas = rng.random((n, m)) / m
+        if coarse:
+            alphas = np.round(alphas * 16) / 16
+        inst = PBInstance(m, float(rng.uniform(0.3, m)), tuple(LinearCost(tuple(a)) for a in alphas))
+        block, scalar = welfare_values(inst, data.draw(st.integers(1, n)), 1.0, 0.0, None, seed)
+        assert np.array_equal(block, scalar)
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(2, 120),
+        st.lists(st.sampled_from(COST_POOL), max_size=3),
+        st.sampled_from([(1.0, 0.0), (1.0, 0.125), (1.5, 0.0), (2.0, 0.0625)]),
+        st.sampled_from([0.5, 0.25, 0.1]),
+        st.integers(0, 2**32),
+        st.booleans(),
+        st.data(),
+    )
+    def test_cover_choice_matches_one_panel_form(self, n, extra, margin, step, seed, coarse, data):
+        # coarse weights put exact ties between cover points, where the
+        # rounding of each panel cost decides the argmin
+        rng = np.random.default_rng(seed)
+        alphas = rng.random((n, 2)) / 2
+        if coarse:
+            alphas = np.round(alphas * 8) / 8
+        costs = tuple(LinearCost(tuple(a)) for a in alphas) + tuple(extra)
+        inst = PBInstance(2, float(rng.uniform(0.3, 2.0)), costs)
+        if margin == (1.0, 0.0) and not extra:
+            inst = PBInstance(2, inst.B, costs + (SaturatingShortfallCost(1.0),))  # keep off the greedy path
+        k = data.draw(st.integers(1, inst.n))
+        block, scalar = welfare_values(inst, k, *margin, simplex_cover(2, inst.B, step), seed)
+        assert np.array_equal(block, scalar)
 
 class TestCoreExperiment:
     def test_identical_agents_never_fail(self):
@@ -381,7 +558,7 @@ class TestImpossibilityFamily:
         # panels of the shared-cost agents cannot distinguish the two instances
         inst1, inst2 = pb_impossibility_family(2, 1.0, k=2)
         cover = simplex_cover(2, 1.0, 0.25)
-        weights = panel_weights(inst1.n, Panel(inst1.n, (0, 1)))
+        weights = panel_counts([0, 1], inst1.n) / 2
         x1, _ = optimal_allocation(inst1, weights, cover)
         x2, _ = optimal_allocation(inst2, weights, cover)
         np.testing.assert_allclose(x1, x2)
@@ -403,7 +580,7 @@ class TestImpossibilityFamily:
             for inst in pair:
                 total = Fraction(0)
                 for panel, prob in enumerate_panels(n, k, Mode.WITHOUT_REPLACEMENT):
-                    x, _ = optimal_allocation(inst, panel_weights(n, panel), cover)
+                    x, _ = optimal_allocation(inst, panel_counts(panel.members, n) / panel.k, cover)
                     sc = float(np.mean([eval_cost(c, x) for c in inst.costs]))
                     total += prob * Fraction(sc)
                 expected.append(total)

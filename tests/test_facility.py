@@ -1,9 +1,14 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import shortest_path_closure
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sortition_lab import experiments, facility
 from sortition_lab.facility import (
     CandidateDistances,
     FacilityInstance,
@@ -20,7 +25,8 @@ from sortition_lab.facility import (
     star_instance,
     tail_panel_size,
 )
-from sortition_lab.model import Box, FiniteMetric, Norm, Panel, Segment
+from sortition_lab.model import Box, FiniteMetric, Mode, Norm, Panel, Segment
+from sortition_lab.sampling import TrialPlan, block_members
 
 LINE = Segment(0.0, 1.0)
 
@@ -308,3 +314,46 @@ class TestCandidateDistances:
         cd = CandidateDistances(inst)
         for i, c in enumerate(inst.candidates):
             assert cd.social[i] == pytest.approx(social_cost(inst, c))
+
+    @settings(max_examples=150)
+    @given(
+        st.sampled_from([LINE, Box(2, Norm.L1), Box(2, Norm.LINF), Box(3, Norm.L1)]),
+        st.integers(1, 30),
+        st.integers(1, 12),
+        st.sampled_from([1, 5, 64, facility.GATHER_CELLS]),
+        st.data(),
+    )
+    def test_block_argmin_matches_one_panel_form(self, space, n, n_cands, cells, data):
+        # agents and candidates on a 1/8 grid tie often; a small cell budget
+        # gathers the block a row or a few rows at a time
+        dim = 1 if space is LINE else space.dim
+        point = st.lists(st.integers(0, 8).map(lambda i: i / 8), min_size=dim, max_size=dim)
+        point = point.map(lambda p: p[0]) if space is LINE else point.map(tuple)
+        agents = data.draw(st.lists(point, min_size=n, max_size=n))
+        cands = data.draw(st.lists(point, min_size=n_cands, max_size=n_cands))
+        cd = CandidateDistances(FacilityInstance(space, tuple(cands), tuple(agents)))
+        mode = data.draw(st.sampled_from(list(Mode)))
+        k = data.draw(st.integers(1, n if mode is Mode.WITHOUT_REPLACEMENT else 2 * n))
+        block = block_members(TrialPlan(n, k, mode, trials=data.draw(st.integers(1, 64)), seed=n), 0)
+
+        def frozen(members):
+            """Frozen copy of the one-panel argmin that the block form replaced."""
+            costs = cd.matrix[:, np.asarray(members)].mean(axis=1)
+            return int(np.argmin(costs))
+
+        expected = [frozen(row) for row in block]
+        with mock.patch.object(facility, "GATHER_CELLS", cells):
+            assert cd.panel_optimum_index(block).tolist() == expected
+        assert [cd.panel_optimum_index(row) for row in block] == expected
+
+    def test_block_gather_memory_stays_bounded(self):
+        # unchunked, a block here gathers 1,728 candidates x 64 rows x 400 members
+        # of float64 distances at once (354 MB)
+        params = {"dims": [3], "eps": 0.2, "k_grid": [100, 400], "n": 400}
+        tracemalloc.start()
+        try:
+            experiments._run_facility_welfare(params, seed=0, trials=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6

@@ -20,6 +20,7 @@ from sortition_lab.model import (
     distribution_from_dict,
     feature_from_dict,
     majority_estimator,
+    majority_signs,
     make_camouflaged,
     pairwise,
     panel_counts,
@@ -243,6 +244,28 @@ class TestMajorityEstimator:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             majority_estimator([5], 2)
+
+    @given(
+        st.integers(1, 5).flatmap(lambda h: st.integers(1, 12).flatmap(lambda k: st.tuples(
+            st.just(h),
+            st.lists(st.lists(st.integers(1, 2 * h), min_size=k, max_size=k), min_size=1, max_size=10),
+        )))
+    )
+    def test_block_rule_matches_loop(self, case):
+        # majority_signs on a block of label panels against a frozen copy of
+        # the per-label counting loop it replaced
+        h, panels = case
+
+        def frozen(values):
+            counts = [0] * (2 * h + 1)
+            for v in values:
+                counts[v] += 1
+            return tuple(1 if counts[2 * j] > counts[2 * j - 1] else -1 for j in range(1, h + 1))
+
+        expected = [frozen(values) for values in panels]
+        assert [majority_estimator(values, h) for values in panels] == expected
+        rows = majority_signs(panel_counts(np.array(panels), 2 * h + 1), h)
+        assert [tuple(row) for row in rows.tolist()] == expected
 
 
 class TestSerialization:

@@ -285,8 +285,8 @@ class TestExpectedPanelOptimum:
             inst = random_instance(rng, n_agents=40, n_candidates=7, ell=ell)
             opt, _ = brute_force_facilities(inst)
 
-            def statistic(panel):
-                return panel_facilities(inst, panel)[0]
+            def statistic(members):
+                return np.array([panel_facilities(inst, Panel(40, tuple(row)))[0] for row in members.tolist()])
 
             est = monte_carlo(TrialPlan(40, 8, trials=600, seed=ell), statistic)
             assert est.mean <= opt + 3 * est.half_width_95

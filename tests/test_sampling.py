@@ -1,10 +1,12 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sortition_lab.experiments import ExperimentConfig, run_experiment
 from sortition_lab.model import Mode, Panel, real_feature
 from sortition_lab.representativeness import PanelWasserstein
 from sortition_lab.sampling import (
@@ -87,40 +89,40 @@ class TestEnumeratePanels:
 
 class TestMonteCarlo:
     def test_constant_statistic(self):
-        est = monte_carlo(TrialPlan(10, 3, trials=100, seed=0), lambda panel: 1.0)
+        est = monte_carlo(TrialPlan(10, 3, trials=100, seed=0), lambda members: np.ones(len(members)))
         assert est == EstimateWithCI(1.0, 0.0, 100)
 
     def test_half_probability_event(self):
         plan = TrialPlan(10, 1, trials=100_000, seed=42)
-        est = monte_carlo(plan, lambda panel: float(panel.members[0] < 5))
+        est = monte_carlo(plan, lambda members: (members[:, 0] < 5).astype(float))
         assert abs(est.mean - 0.5) < 0.01
         assert est.half_width_95 < 0.005
 
     def test_statistic_failure_carries_trial_index(self):
-        def bad(panel):
-            if panel.members[0] == 0:
+        def bad(members):
+            if np.any(members[:, 0] == 0):
                 raise ValueError("boom")
-            return 0.0
+            return np.zeros(len(members))
 
         with pytest.raises(StatisticError, match="trial"):
             monte_carlo(TrialPlan(3, 2, trials=50, seed=1), bad)
 
     def test_wilson_interval_for_rare_events(self):
         plan = TrialPlan(500, 1, trials=1500, seed=1000)
-        est = monte_carlo(plan, lambda panel: float(panel.members[0] == 0))
+        est = monte_carlo(plan, lambda members: (members[:, 0] == 0).astype(float))
         assert 0.0 < est.mean < 0.01
         # the normal width would be misleadingly tiny here
         assert est.half_width_95 > 1.96 * math.sqrt(est.mean * (1 - est.mean) / 1500)
 
     def test_degenerate_indicator_keeps_zero_width(self):
-        est = monte_carlo(TrialPlan(10, 1, trials=500, seed=3), lambda panel: 0.0)
+        est = monte_carlo(TrialPlan(10, 1, trials=500, seed=3), lambda members: np.zeros(len(members)))
         assert est.mean == 0.0 and est.half_width_95 == 0.0
 
 
 class TestTrialStreams:
     def test_distinct_seeds_give_distinct_estimates(self):
         # seed XOR trial made these four seeds replay one set of panels
-        stat = lambda panel: float(sum(panel.members))
+        stat = lambda members: members.sum(axis=1).astype(float)
         means = {monte_carlo(TrialPlan(30, 5, trials=1024, seed=seed), stat).mean for seed in (0, 1, 5, 1023)}
         assert len(means) == 4
 
@@ -186,20 +188,23 @@ class TestTrialValues:
     FEATURE = real_feature(np.random.default_rng(8).random(50))
 
     def test_batch_matches_scalar_path(self):
+        # the batch method against the one-panel call on every row
         stat = PanelWasserstein(self.FEATURE)
         plan = TrialPlan(50, 9, trials=300, seed=5)
         batched = trial_values(plan, stat)
-        scalar = trial_values(plan, lambda panel: stat(panel))
+        rows = np.concatenate(list(trial_blocks(plan))).tolist()
+        scalar = [stat(Panel(plan.n, tuple(row), plan.mode)) for row in rows]
         np.testing.assert_allclose(batched, scalar, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_partial_block_filled(self, batch):
-        # 130 trials: two full blocks and a partial one
+        # 130 trials: two full blocks and a partial one; a plain function or
+        # an evaluator object with a batch method
         plan = TrialPlan(20, 4, trials=130, seed=6)
         expected = np.concatenate([m[:, 0] + 0.5 for m in trial_blocks(plan)])
-        stat = lambda panel: panel.members[0] + 0.5
+        stat = lambda members: members[:, 0] + 0.5
         if batch:
-            stat.batch = lambda members: members[:, 0] + 0.5
+            stat = SimpleNamespace(batch=stat)
         values = trial_values(plan, stat)
         assert values.shape == (130,)
         assert np.array_equal(values, expected)
@@ -210,27 +215,22 @@ class TestTrialValues:
         stat = PanelWasserstein(self.FEATURE)
         plan = TrialPlan(50, 9, trials=1000, seed=7)
         blocks = range(-(-plan.trials // TRIAL_BLOCK))
-        scored = {}
-        for block in reversed(blocks):
-            members = block_members(plan, block)
-            if batch:
-                scored[block] = stat.batch(members)
-            else:
-                scored[block] = [stat(Panel(plan.n, tuple(row), plan.mode)) for row in members.tolist()]
+        scored = {block: stat.batch(block_members(plan, block)) for block in reversed(blocks)}
         expected = np.concatenate([scored[block] for block in blocks])
-        values = trial_values(plan, stat if batch else (lambda panel: stat(panel)))
+        values = trial_values(plan, stat if batch else (lambda members: stat.batch(members)))
         assert np.array_equal(values, expected)
 
     def test_scalar_failure_reports_trial(self):
+        # the failing block is scored again row by row to find the trial
         plan = TrialPlan(20, 4, trials=200, seed=2)
         first_bad = next(
             t for t, row in enumerate(np.concatenate(list(trial_blocks(plan))).tolist()) if row[0] == 0
         )
 
-        def bad(panel):
-            if panel.members[0] == 0:
+        def bad(members):
+            if np.any(members[:, 0] == 0):
                 raise ValueError("boom")
-            return 0.0
+            return np.zeros(len(members))
 
         with pytest.raises(StatisticError) as err:
             trial_values(plan, bad)
@@ -252,6 +252,19 @@ class TestTrialValues:
         with pytest.raises(StatisticError) as err:
             trial_values(TrialPlan(20, 4, trials=200, seed=2), stat)
         assert err.value.trial == TRIAL_BLOCK
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["rep_sweep", "concentration", "facility_tail", "facility_welfare",
+         "pb_welfare", "pb_core", "pb_lower", "multifacility_line"],
+    )
+    def test_monte_carlo_kinds_build_no_panel(self, kind, monkeypatch):
+        # every Monte Carlo kind scores member matrices; none validates a Panel per trial
+        built = []
+        post_init = Panel.__post_init__
+        monkeypatch.setattr(Panel, "__post_init__", lambda panel: built.append(post_init(panel)))
+        run_experiment(ExperimentConfig(kind, {}, seed=0, trials=130))
+        assert len(built) == 0
 
 
 class TestProportionCI:
