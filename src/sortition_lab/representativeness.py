@@ -78,8 +78,11 @@ class PanelWasserstein:
     def batch(self, members: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over a (panels, k) matrix of member indices."""
         members = np.asarray(members)
-        counts = panel_counts(self.index[members], self.unique.size)
-        cdf = np.cumsum(counts, axis=1)[:, :-1] / members.shape[1]
+        return self.from_counts(panel_counts(self.index[members], self.unique.size), members.shape[1])
+
+    def from_counts(self, counts: np.ndarray, k: int) -> np.ndarray:
+        """W for each row of a (panels, distinct values) count matrix of size-k panels."""
+        cdf = np.cumsum(counts, axis=1)[:, :-1] / k
         return np.abs(cdf - self.pop_cdf[None, :]) @ self.gaps
 
 

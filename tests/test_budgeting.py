@@ -32,7 +32,7 @@ from sortition_lab.budgeting import (
 )
 from sortition_lab.experiments import ExperimentConfig, run_experiment, two_block_instance
 from sortition_lab.model import Panel, make_camouflaged, panel_counts
-from sortition_lab.sampling import trial_blocks, trial_values
+from sortition_lab.sampling import TrialPlan, trial_blocks, trial_values
 
 
 def all_models(m=3):
@@ -499,6 +499,42 @@ class TestCoreExperiment:
         # the exact re-verification inside the experiment
         assert report.unresolved == 0
         assert 0.0 <= report.failure_rate <= 1.0
+
+    def test_each_failing_cover_point_verified_once(self, monkeypatch):
+        # the exact re-verification depends only on the chosen cover point:
+        # 312 failing trials here choose at most k + 1 = 5 distinct points
+        verified = []
+        exact = budgeting.exact_witness_valid
+
+        def counted(inst, x, *args):
+            verified.append(tuple(x))
+            return exact(inst, x, *args)
+
+        monkeypatch.setattr(budgeting, "exact_witness_valid", counted)
+        report = core_extrapolation_experiment(two_block_instance(200), k=4, eps=0.1, trials=500, seed=0, step=0.05)
+        assert report.failure_rate == 0.624
+        assert 1 <= len(verified) == len(set(verified)) <= 5
+
+    def test_failed_reverification_names_first_trial_of_the_point(self, monkeypatch):
+        # fail the second exact check: the error names the first trial that
+        # chose the second distinct failing cover point
+        inst = two_block_instance(200)
+        lab = budgeting.CoreLab(inst, budgeting.simplex_cover(2, 1.0, 0.05))
+        pop_blocked = lab.blocked_mask(lab.pop_counts, inst.n, 0.1, 0.1, 1.0)
+        first_trial = {}
+        t = 0
+        for members in trial_blocks(TrialPlan(inst.n, 4, trials=500, seed=0)):
+            for counts in panel_counts(lab.group[members], lab.rows.shape[0]):
+                free = np.flatnonzero(~lab.blocked_mask(counts, 4, 0.0, 0.0, 1.0))
+                if free.size and pop_blocked[free[0]]:
+                    first_trial.setdefault(int(free[0]), t)
+                t += 1
+        assert len(first_trial) >= 2
+        verdicts = iter([True, False])
+        monkeypatch.setattr(budgeting, "exact_witness_valid", lambda *args: next(verdicts))
+        expected = list(first_trial.values())[1]
+        with pytest.raises(RuntimeError, match=f"failure on trial {expected} did not re-verify"):
+            core_extrapolation_experiment(inst, k=4, eps=0.1, trials=500, seed=0, step=0.05)
 
 
 class TestLowerInstance:

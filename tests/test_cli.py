@@ -16,6 +16,7 @@ from sortition_lab.experiments import (
     write_csv,
 )
 from sortition_lab.sampling import StatisticError
+from test_acceptance import DETERMINISM_CONFIGS
 
 
 def write_config(tmp_path, **fields):
@@ -64,8 +65,7 @@ class TestCliCommands:
         cfg = write_config(tmp_path, kind="sd_counterexample", seed=1, trials=10, output=str(out))
         assert main(["run", "--config", cfg]) == 0
         printed = capsys.readouterr().out
-        assert "PASS sd_counterexample" in printed
-        assert "P_U=0.300000, P_R=0.360000" in printed
+        assert "PASS sd_counterexample: 5/5 checks held" in printed
         assert out.exists()
 
     def test_run_invalid_config_exits_two(self, tmp_path, capsys):
@@ -209,6 +209,76 @@ class TestCliCommands:
         assert main(["run", "--config", cfg]) in (0, 1)
         assert main(["run", "--config", cfg, "--seed", "3", "--trials", "100", "--out", str(out_b)]) in (0, 1)
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+# Configs whose criterion fails at seed 0, each with the first check its FAIL
+# line names: a CI bound, an exact bound, a trend pair between grid sizes.
+FAILING_CONFIGS = [
+    (
+        "facility_welfare", {"dims": [1], "eps": 0.0, "k_grid": [4, 8], "n": 60}, 400,
+        "1/2 checks failed, first: mean_sc dim=1 k=8 <= (1+eps)*opt + 3ci "
+        "(value 0.268630989, bound 0.255656215)",
+    ),
+    (
+        "pb_welfare", {"m": 2, "n": 80, "eps": 0.0, "k_grid": [4, 16], "n_instances": 2}, 400,
+        "2/4 checks failed, first: gap instance=0 k=16 <= eps + 3ci (value 0.0103072414, bound 0.00498899274)",
+    ),
+    (
+        "pb_lower", {"h": 2, "w": 3, "r": 30, "z": None, "k_grid": [4]}, 300,
+        "1/3 checks failed, first: highest recovery_rate (k=4) >= 6/7 (value 0.336666667, bound 0.857142857)",
+    ),
+    (
+        "rep_sweep", {"n": 48, "n_features": 2, "eps": 0.01, "delta": 0.1, "k_grid": [4]}, 200,
+        "1/1 checks failed, first: lowest failure_rate on the grid (k=4) <= delta (value 1, bound 0.1)",
+    ),
+    (
+        "pb_core", {"n": 200, "k": 4, "eps": 0.1, "step": 0.05, "delta": 0.1}, 500,
+        "1/2 checks failed, first: population-core failure rate <= delta (value 0.624, bound 0.1)",
+    ),
+    (
+        "pb_lower", {"h": 2, "w": 3, "r": 30, "z": None, "k_grid": [256, 4]}, 300,
+        "1/4 checks failed, first: recovery_rate k=4 >= its value at k=256 - 3ci "
+        "(value 0.35, bound 0.838077426)",
+    ),
+    (
+        "facility_welfare", {"dims": [1], "eps": 0.3, "k_grid": [32, 4], "n": 60}, 400,
+        "1/2 checks failed, first: mean_sc dim=1 k=4 <= its value at k=32 + 3ci "
+        "(value 0.28288878, bound 0.266703487)",
+    ),
+]
+
+# (kind, seed) -> exit code of each DETERMINISM_CONFIGS run. A change to how
+# verdicts are built or printed must not move any of them (FAILING_CONFIGS exit 1).
+DETERMINISM_EXIT_CODES = {(kind, seed): 0 for kind in DETERMINISM_CONFIGS for seed in (0, 1313)}
+DETERMINISM_EXIT_CODES["pb_lower", 1313] = 1
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("kind, params, trials, summary", FAILING_CONFIGS)
+    def test_fail_line_names_first_failing_check(self, tmp_path, capsys, kind, params, trials, summary):
+        cfg = write_config(tmp_path, kind=kind, params=params, seed=0, trials=trials)
+        assert main(["run", "--config", cfg]) == 1
+        assert capsys.readouterr().out == f"FAIL {kind}: {summary}\n"
+
+    @pytest.mark.parametrize("kind, seed", sorted(DETERMINISM_EXIT_CODES))
+    def test_exit_code_unchanged(self, kind, seed):
+        params, trials = DETERMINISM_CONFIGS[kind]
+        code, _ = run_experiment(ExperimentConfig(kind, params, seed=seed, trials=trials))
+        assert code == DETERMINISM_EXIT_CODES[kind, seed]
+
+    @pytest.mark.parametrize("kind", sorted(DETERMINISM_CONFIGS))
+    def test_every_kind_reports_checks(self, kind):
+        # an empty check list would pass vacuously
+        params, trials = DETERMINISM_CONFIGS[kind]
+        code, result = run_experiment(ExperimentConfig(kind, params, seed=1313, trials=trials))
+        assert result.checks
+        assert (code == 0) == all(c.ok for c in result.checks)
+
+    def test_pass_line_counts_checks(self):
+        params, trials = DETERMINISM_CONFIGS["concentration"]
+        _, result = run_experiment(ExperimentConfig("concentration", params, seed=0, trials=trials))
+        assert len(result.checks) == len(result.rows) == 2
+        assert result.summary == "2/2 checks held"
 
 
 class TestDeterminism:
