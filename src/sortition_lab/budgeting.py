@@ -11,12 +11,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .model import CamouflagedPopulation, Mode, Panel, make_camouflaged, panel_counts
-from .sampling import TrialPlan, monte_carlo, proportion_ci, trial_blocks
+from .sampling import TrialPlan, monte_carlo, proportion_ci, trial_values
 
 COVER_CAP = 10**7
 
@@ -591,39 +591,24 @@ def core_extrapolation_experiment(
             panel_core_cache[key] = int(free[0]) if free.size else -1
         return panel_core_cache[key]
 
-    def panels() -> Iterator[np.ndarray]:
-        for members in trial_blocks(TrialPlan(inst.n, k, trials=trials, seed=seed)):
-            yield from panel_counts(lab.group[members], lab.rows.shape[0])
+    def chosen(members: np.ndarray) -> np.ndarray:
+        """Cover index of each trial's panel-core pick, -1 where there is none."""
+        return np.array([panel_core_index(c) for c in panel_counts(lab.group[members], lab.rows.shape[0])])
 
-    failures = 0
-    resolved = 0
-    unresolved = 0
-    verified: set[int] = set()
-    for t, counts in enumerate(panels()):
-        idx = panel_core_index(counts)
-        if idx < 0:
-            unresolved += 1
-            continue
-        resolved += 1
-        if pop_blocked[idx]:
-            failures += 1
-            if idx not in verified:
-                x = lab.cover[idx]
-                witness = lab.first_witness(
-                    x, lab.pop_counts, inst.n, None, eta + eps, tau + eps, rho
-                )
-                if witness is None or not exact_witness_valid(
-                    inst, x, witness, eta + eps, tau + eps, rho, inst.n
-                ):
-                    raise RuntimeError(
-                        f"population-core failure on trial {t} did not re-verify exactly"
-                    )
-                verified.add(idx)
+    picks = trial_values(TrialPlan(inst.n, k, trials=trials, seed=seed), chosen).astype(np.intp)
+    resolved = int(np.count_nonzero(picks >= 0))
     if resolved == 0:
         raise RuntimeError("no trial found a panel-core point at this resolution")
-    est = proportion_ci(failures, resolved)
+    failing = np.flatnonzero((picks >= 0) & pop_blocked[picks])
+    _, first = np.unique(picks[failing], return_index=True)
+    for t in np.sort(failing[first]).tolist():  # each failing point once, at its first trial
+        x = lab.cover[picks[t]]
+        witness = lab.first_witness(x, lab.pop_counts, inst.n, None, eta + eps, tau + eps, rho)
+        if witness is None or not exact_witness_valid(inst, x, witness, eta + eps, tau + eps, rho, inst.n):
+            raise RuntimeError(f"population-core failure on trial {t} did not re-verify exactly")
+    est = proportion_ci(failing.size, resolved)
     return CoreReport(
-        k, eps, eta, tau, rho, est.mean, est.half_width_95, unresolved, trials, seed, step
+        k, eps, eta, tau, rho, est.mean, est.half_width_95, trials - resolved, trials, seed, step
     )
 
 

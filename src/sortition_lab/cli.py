@@ -47,7 +47,7 @@ def _cmd_run(args) -> int:
         validate_config(config)
         if config.output and not os.path.isdir(os.path.dirname(os.path.abspath(config.output))):
             raise UsageError(f"output directory of {config.output!r} does not exist")
-    except (UsageError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:  # unreadable or malformed config
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -69,7 +69,7 @@ def _cmd_list(args) -> int:
     width = max(len(row["kind"]) for row in table)
     for row in table:
         print(f"{row['kind']:<{width}}  {row['claim']}")
-        print(f"{'':<{width}}  params: required [{row['required']}]; defaults {row['defaults']}")
+        print(f"{'':<{width}}  params: defaults {row['defaults']}")
     print(f"{len(table)} kinds")
     return 0
 
@@ -78,7 +78,7 @@ def _cmd_validate(args) -> int:
     try:
         config = load_config(args.config)
         validate_config(config)
-    except (UsageError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:  # unreadable or malformed config
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
     print(f"ok: {config.kind}")

@@ -32,13 +32,12 @@ from .model import (
     real_feature,
 )
 from .sampling import (
-    Z_95,
     TrialPlan,
     derived_seed,
     enumerate_panels,
+    mean_ci,
     monte_carlo,
     proportion_ci,
-    trial_blocks,
     trial_values,
 )
 from .transport import wasserstein_1d
@@ -110,7 +109,6 @@ class ExperimentResult:
 class KindSpec:
     name: str
     claim: str
-    required: tuple[str, ...]
     defaults: dict
     runner: Callable[[dict, int, int], ExperimentResult]
     validate: Callable[[dict, int], None] = lambda params, trials: None
@@ -492,46 +490,46 @@ def _run_multifacility_line(params: dict, seed: int, trials: int) -> ExperimentR
     checks = []
     for eps_idx, eps in enumerate(eps_list):
         k = math.ceil(c / (eps * eps))
-        gap_pool: dict[int, list[float]] = {ell: [] for ell in ells}
+        gap_pool: dict[int, list[np.ndarray]] = {ell: [] for ell in ells}
         for i_idx in range(n_instances):
             rng = np.random.default_rng(derived_seed(seed, eps_idx, i_idx))
             inst = random_site_instance(rng, n, n_sites)
             w_stat = representativeness.PanelWasserstein(Feature(inst.space, inst.agents))
             sites, site_of = w_stat.unique, w_stat.index
             pop_w = np.bincount(site_of, minlength=sites.size) / n
-            opts = {ell: multifacility.kmedian_line(sites, inst.candidates, ell, pop_w)[0] for ell in ells}
-            tables = {ell: multifacility._LineSets(inst.space, sites, inst.candidates, ell, pop_w) for ell in ells}
-            sc_sums = {ell: 0.0 for ell in ells}
-            w_sum = 0.0
-            plan = TrialPlan(n, k, trials=trials, seed=derived_seed(seed, eps_idx, i_idx, 7))
-            for members in trial_blocks(plan):
+            opts = [multifacility.kmedian_line(sites, inst.candidates, ell, pop_w)[0] for ell in ells]
+            tables = [multifacility._LineSets(inst.space, sites, inst.candidates, ell, pop_w) for ell in ells]
+
+            def scores(members: np.ndarray) -> np.ndarray:
+                """W, then each ell's chosen population cost, per trial."""
                 counts = panel_counts(site_of[members], sites.size)
-                w_sum += float(w_stat.from_counts(counts, k).sum())
-                for ell, table in tables.items():
-                    # one float at a time in trial order: np.sum would pair terms up
-                    for sc in table.pop_cost[table.choose(counts, k)].tolist():
-                        sc_sums[ell] += sc
-                        gap_pool[ell].append(sc - opts[ell])
-            for ell in ells:
+                costs = [table.pop_cost[table.choose(counts, k)] for table in tables]
+                return np.column_stack([w_stat.from_counts(counts, k), *costs])
+
+            plan = TrialPlan(n, k, trials=trials, seed=derived_seed(seed, eps_idx, i_idx, 7))
+            values = trial_values(plan, scores)
+            w_mean = float(values[:, 0].sum()) / trials
+            for ell, opt, column in zip(ells, opts, values[:, 1:].T):
+                sc_sum = 0.0
+                for sc in column.tolist():  # one float at a time: np.sum would pair terms up
+                    sc_sum += sc
+                gap_pool[ell].append(column - opt)
                 rows.append(
                     {
                         "ell": ell,
                         "k": k,
                         "eps": eps,
-                        "mean_sc": sc_sums[ell] / trials,
-                        "opt": opts[ell],
-                        "w_mean": w_sum / trials,
+                        "mean_sc": sc_sum / trials,
+                        "opt": opt,
+                        "w_mean": w_mean,
                         "seed": seed,
                     }
                 )
-        gaps, cis = [], []
-        for ell in ells:
-            arr = np.asarray(gap_pool[ell])
-            gaps.append(float(arr.mean()))
-            cis.append(Z_95 * float(arr.std(ddof=1)) / math.sqrt(arr.size))
-            checks.append(ci_bound(f"gap eps={eps:g} ell={ell}", "eps", gaps[-1], eps, cis[-1]))
-        spread = max(gaps) - min(gaps)
-        flat = 3.0 * (max(cis) + min(cis))
+        gaps = [mean_ci(np.concatenate(gap_pool[ell])) for ell in ells]
+        for ell, gap in zip(ells, gaps):
+            checks.append(ci_bound(f"gap eps={eps:g} ell={ell}", "eps", gap.mean, eps, gap.half_width_95))
+        spread = max(g.mean for g in gaps) - min(g.mean for g in gaps)
+        flat = 3.0 * (max(g.half_width_95 for g in gaps) + min(g.half_width_95 for g in gaps))
         # the facility-count effect on the gap is real but tiny; judge
         # flatness at the scale of the eps guarantee, not only CI noise
         name = f"gap spread over ells eps={eps:g} <= 3(max ci + min ci) + eps/20"
@@ -643,7 +641,6 @@ _register(
         "rep_sweep",
         "failure probability of eps-representativeness over several features is "
         "nonincreasing in k and crosses delta",
-        ("eps", "delta"),
         {"n": 128, "n_features": 4, "eps": 0.2, "delta": 0.1, "k_grid": None},
         _run_rep_sweep,
         lambda params, trials: _validate_k_grid_fits(params),
@@ -654,7 +651,6 @@ _register(
         "sd_counterexample",
         "with-replacement panels beat without-replacement ones at one threshold, "
         "so neither stochastically dominates (exact enumeration)",
-        (),
         {},
         _run_sd_counterexample,
     )
@@ -664,7 +660,6 @@ _register(
         "concentration",
         "upper tail of the panel-population transport distance decays at least "
         "as fast as exp(-t^2 k / 4)",
-        (),
         {"n": 200, "k_list": [25, 100], "t_list": [0.1, 0.2, 0.3], "n_features": 5},
         _run_concentration,
         lambda params, trials: _validate_k_grid_fits(params, "k_list"),
@@ -675,7 +670,6 @@ _register(
         "facility_tail",
         "the panel-optimal facility lies within T times the optimal social cost "
         "with probability at least 1 - delta at the closed-form panel size",
-        ("T", "delta"),
         {"T": 3.0, "delta": 0.1, "star_k": 50, "n_instances": 5, "n": 120},
         _run_facility_tail,
         _validate_tail,
@@ -686,7 +680,6 @@ _register(
         "facility_welfare",
         "expected social cost of the panel-optimal facility approaches "
         "(1 + eps) times optimal as the panel grows (box instances)",
-        (),
         {"dims": [1, 2], "eps": 0.2, "k_grid": [16, 64, 256], "n": 400},
         _run_facility_welfare,
         lambda params, trials: _validate_k_grid_fits(params),
@@ -697,7 +690,6 @@ _register(
         "facility_star",
         "on the star population no panel size keeps the chosen facility within "
         "twice the optimal cost more than 3/4 of the time (exact enumeration)",
-        (),
         {"k_max": 6},
         _run_facility_star,
     )
@@ -707,7 +699,6 @@ _register(
         "pb_welfare",
         "expected social cost of the panel-optimal budget allocation is within "
         "eps of optimal and shrinks with the panel size",
-        (),
         {"m": 2, "n": 200, "eps": 0.1, "k_grid": [4, 16, 64], "n_instances": 10},
         _run_pb_welfare,
         lambda params, trials: _validate_k_grid_fits(params),
@@ -718,7 +709,6 @@ _register(
         "pb_core",
         "allocations in the panel core stay in the population core after an "
         "eps slack on the share and cost margins",
-        (),
         {"n": 200, "k": 64, "eps": 0.25, "step": 0.05, "delta": 0.1},
         _run_pb_core,
         _validate_pb_core,
@@ -729,7 +719,6 @@ _register(
         "pb_lower",
         "hidden-sign budgeting family: the optimum matches 1/2 - 1/(2w) and "
         "majority recovery of the signs needs panels growing like h*w^2",
-        (),
         {"h": 2, "w": 3, "r": 30, "z": None, "k_grid": [4, 16, 64, 256]},
         _run_pb_lower,
         _validate_pb_lower,
@@ -740,7 +729,6 @@ _register(
         "multifacility_line",
         "expected multi-facility social cost on the line is within eps of "
         "optimal at k = c/eps^2, independent of the facility count",
-        (),
         {
             "eps_list": [0.2, 0.1],
             "c": 4.0,
@@ -758,7 +746,6 @@ _register(
         "multifacility_impossible",
         "two-facility family with zero optimum on which any fixed panel rule "
         "keeps positive expected cost (exact enumeration)",
-        (),
         {"k_max": 6, "n": 10},
         _run_multifacility_impossible,
         _validate_multifacility_impossible,
@@ -778,14 +765,15 @@ def validate_config(config: ExperimentConfig) -> KindSpec:
         raise UsageError("seed must be nonnegative")
     if config.trials < 1:
         raise UsageError("trials must be positive")
-    unknown = set(config.params) - set(spec.defaults) - set(spec.required)
+    unknown = set(config.params) - set(spec.defaults)
     if unknown:
         raise UsageError(f"unknown params for {config.kind}: {sorted(unknown)}")
+    # null means "use the built-in choice", which only a None default has
+    nulls = sorted(key for key, value in config.params.items() if value is None and spec.defaults[key] is not None)
+    if nulls:
+        raise UsageError(f"params {nulls} of {config.kind} may not be null")
     merged = dict(spec.defaults)
     merged.update(config.params)
-    missing = [p for p in spec.required if merged.get(p) is None]
-    if missing:
-        raise UsageError(f"missing params for {config.kind}: {missing}")
     try:
         # an empty list or a zero count would leave the criterion nothing to check
         for key, default in spec.defaults.items():
@@ -847,7 +835,6 @@ def list_kinds() -> list[dict]:
         table.append(
             {
                 "kind": name,
-                "required": ", ".join(spec.required) if spec.required else "-",
                 "defaults": ", ".join(f"{k}={v}" for k, v in spec.defaults.items()) or "-",
                 "claim": spec.claim,
             }

@@ -70,10 +70,7 @@ class PanelWasserstein:
         self.gaps = np.diff(self.unique)
 
     def __call__(self, panel: Panel) -> float:
-        members = np.asarray(panel.members)
-        counts = panel_counts(self.index[members], self.unique.size)
-        cdf = np.cumsum(counts)[:-1] / members.size
-        return float(np.sum(np.abs(self.pop_cdf - cdf) * self.gaps))
+        return float(self.batch(np.asarray(panel.members)[None, :])[0])
 
     def batch(self, members: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over a (panels, k) matrix of member indices."""

@@ -6,8 +6,8 @@ seed, with ``b`` in the counter (Salmon et al., "Parallel Random Numbers: As
 Easy as 1, 2, 3", SC'11). Distinct seeds therefore give independent streams,
 and a block's panels do not depend on the order in which blocks are drawn.
 Each block is one sorted ``(rows, k)`` member matrix, which a statistic maps
-to its ``(rows,)`` values in one call; ``trial_values`` walks the blocks in
-one serial loop.
+to its ``(rows,)`` or ``(rows, m)`` values in one call; ``trial_values`` is
+the one loop over the blocks.
 """
 
 from __future__ import annotations
@@ -176,26 +176,26 @@ def block_members(plan: TrialPlan, block: int) -> np.ndarray:
     return np.sort(columns.T, axis=1)
 
 
-def trial_blocks(plan: TrialPlan) -> Iterator[np.ndarray]:
-    """Member matrices of every block, in trial order."""
-    for block in range(-(-plan.trials // TRIAL_BLOCK)):
-        yield block_members(plan, block)
-
-
 def trial_values(plan: TrialPlan, statistic: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """The statistic's value on every trial of the plan, in trial order.
 
     The statistic maps a block's ``(rows, k)`` member matrix to ``(rows,)``
-    values, through its ``batch`` method if it has one (``PanelWasserstein``).
-    A failure raises ``StatisticError`` for the first row of the failing block
+    or ``(rows, m)`` values, through its ``batch`` method if it has one
+    (``PanelWasserstein``); the result is ``(trials,)`` or ``(trials, m)``,
+    sized from the first block. This is the one loop over trial blocks. A
+    failure raises ``StatisticError`` for the first row of the failing block
     that fails alone, else for the block's first trial.
     """
     score = getattr(statistic, "batch", statistic)
-    values = np.empty(plan.trials)
-    for block, members in enumerate(trial_blocks(plan)):
+    values = None
+    for block in range(-(-plan.trials // TRIAL_BLOCK)):
+        members = block_members(plan, block)
         first = block * TRIAL_BLOCK
         try:
-            values[first : first + len(members)] = score(members)
+            scored = score(members)
+            if values is None:
+                values = np.empty((plan.trials, *np.shape(scored)[1:]))
+            values[first : first + len(members)] = scored
         except Exception as exc:  # surfaced with the failing trial
             raise StatisticError(_failing_trial(score, members, first), exc) from exc
     return values
@@ -214,20 +214,27 @@ def monte_carlo(plan: TrialPlan, statistic: Callable[[np.ndarray], np.ndarray]) 
     """Sample mean of a pure block statistic with a 95% confidence interval.
 
     The values come from ``trial_values``, so the estimate depends only on
-    the plan and the statistic. For indicator statistics whose
-    empirical proportion sits near 0 or 1, the Wilson interval replaces the
-    normal approximation.
+    the plan and the statistic.
     """
-    values = trial_values(plan, statistic)
+    return mean_ci(trial_values(plan, statistic))
+
+
+def mean_ci(values: np.ndarray) -> EstimateWithCI:
+    """Sample mean of trial values with a 95% confidence interval.
+
+    For indicator values whose empirical proportion sits near 0 or 1, the
+    Wilson interval replaces the normal approximation.
+    """
+    trials = values.size
     mean = float(np.mean(values))
-    if plan.trials == 1:
+    if trials == 1:
         return EstimateWithCI(mean, 0.0, 1)
-    half = Z_95 * float(np.std(values, ddof=1)) / math.sqrt(plan.trials)
+    half = Z_95 * float(np.std(values, ddof=1)) / math.sqrt(trials)
     if _is_indicator(values):
         successes = float(np.sum(values))
-        if _needs_wilson(successes, plan.trials):
-            half = _wilson_half_width(successes, plan.trials)
-    return EstimateWithCI(mean, half, plan.trials)
+        if _needs_wilson(successes, trials):
+            half = _wilson_half_width(successes, trials)
+    return EstimateWithCI(mean, half, trials)
 
 
 def proportion_ci(successes: float, trials: int) -> EstimateWithCI:

@@ -1,6 +1,8 @@
 import numpy as np
 from hypothesis import settings
 
+from sortition_lab.sampling import TRIAL_BLOCK, block_members
+
 # the properties run numpy-heavy examples whose time varies with the host,
 # so none of them has a per-example deadline
 settings.register_profile("sortition-lab", deadline=None)
@@ -19,3 +21,8 @@ def shortest_path_closure(raw: np.ndarray) -> np.ndarray:
     for k in range(n):
         d = np.minimum(d, d[:, [k]] + d[[k], :])
     return d
+
+
+def plan_blocks(plan) -> list[np.ndarray]:
+    """Member matrix of every block of a trial plan, in trial order."""
+    return [block_members(plan, block) for block in range(-(-plan.trials // TRIAL_BLOCK))]

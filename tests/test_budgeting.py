@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import plan_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +33,7 @@ from sortition_lab.budgeting import (
 )
 from sortition_lab.experiments import ExperimentConfig, run_experiment, two_block_instance
 from sortition_lab.model import Panel, make_camouflaged, panel_counts
-from sortition_lab.sampling import TrialPlan, trial_blocks, trial_values
+from sortition_lab.sampling import TrialPlan, trial_values
 
 
 def all_models(m=3):
@@ -422,7 +423,7 @@ def welfare_values(inst, k, rho, tau, cover, seed):
         welfare_experiment(inst, k, 0.1, rho=rho, tau=tau, trials=150, seed=seed, cover=cover)
     plan, statistic = spy.call_args.args
     scalar = frozen_welfare_statistic(inst, rho, tau, cover)
-    rows = np.concatenate(list(trial_blocks(plan))).tolist()
+    rows = np.concatenate(plan_blocks(plan)).tolist()
     return trial_values(plan, statistic), np.array([scalar(Panel(plan.n, tuple(r), plan.mode)) for r in rows])
 
 
@@ -523,7 +524,7 @@ class TestCoreExperiment:
         pop_blocked = lab.blocked_mask(lab.pop_counts, inst.n, 0.1, 0.1, 1.0)
         first_trial = {}
         t = 0
-        for members in trial_blocks(TrialPlan(inst.n, 4, trials=500, seed=0)):
+        for members in plan_blocks(TrialPlan(inst.n, 4, trials=500, seed=0)):
             for counts in panel_counts(lab.group[members], lab.rows.shape[0]):
                 free = np.flatnonzero(~lab.blocked_mask(counts, 4, 0.0, 0.0, 1.0))
                 if free.size and pop_blocked[free[0]]:

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from sortition_lab import experiments, sampling
+from sortition_lab import sampling
 from sortition_lab.cli import main
 from sortition_lab.experiments import (
     KINDS,
@@ -146,6 +146,33 @@ class TestCliCommands:
         assert reason in captured.err
         assert "PASS" not in captured.out and "FAIL" not in captured.out
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "concentration", "seed": "x"},
+            {"kind": "concentration", "trials": "many"},
+            {"kind": "concentration", "params": 5},
+            {"kind": "facility_tail", "params": {"n_instances": None}},
+            {"kind": "rep_sweep", "params": {"eps": None}},
+            {"kind": "pb_core", "params": {"k": None}},
+        ],
+    )
+    def test_malformed_config_exits_two(self, tmp_path, capsys, config):
+        # exit 1 means a criterion failed; a config that cannot run is a usage error
+        cfg = write_config(tmp_path, **config)
+        assert main(["validate", cfg]) == 2
+        assert main(["run", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid: ") and "\nerror: " in captured.err
+        assert "Traceback" not in captured.err
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+    def test_null_only_where_the_default_is_none(self):
+        with pytest.raises(UsageError, match=r"params \['delta', 'eps'\] of rep_sweep may not be null"):
+            validate_config(ExperimentConfig("rep_sweep", {"eps": None, "delta": None}))
+        validate_config(ExperimentConfig("rep_sweep", {"k_grid": None}))
+        validate_config(ExperimentConfig("pb_lower", {"z": None}))
+
     def test_rep_sweep_empty_grid_still_means_default(self):
         validate_config(ExperimentConfig("rep_sweep", {"eps": 0.2, "delta": 0.1, "k_grid": []}))
 
@@ -285,6 +312,11 @@ class TestDeterminism:
     RERUNS = {
         "concentration": ({"n": 40, "k_list": [8], "t_list": [0.2], "n_features": 2}, 9, 400),
         "facility_tail": ({"T": 3.0, "delta": 0.1, "star_k": 25, "n_instances": 1, "n": 60}, 4, 1500),
+        "multifacility_line": (
+            {"eps_list": [0.25], "c": 4.0, "ells": [1, 2], "n_instances": 2, "n": 120, "n_sites": 6}, 3, 150
+        ),
+        # a failure rate near 0.6, so failing points are re-verified at their first trials
+        "pb_core": ({"n": 200, "k": 4, "eps": 0.1, "step": 0.05, "delta": 0.1}, 2, 300),
     }
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -298,21 +330,26 @@ class TestDeterminism:
 
     def test_worker_count_does_not_change_csv(self, tmp_path, monkeypatch):
         # however trials are split, each block comes from its own stream:
-        # drawing every block last to first gives the same CSV bytes
+        # drawing every plan's blocks last to first gives the same CSV bytes
         drawn = []
+        pending = {}
+        draw = sampling.block_members
 
-        def blocks_drawn_backwards(plan):
-            blocks = range(-(-plan.trials // sampling.TRIAL_BLOCK))
-            members = {block: sampling.block_members(plan, block) for block in reversed(blocks)}
-            drawn.append(len(members))
-            yield from (members[block] for block in blocks)
+        def block_drawn_backwards(plan, block):
+            if plan not in pending:
+                blocks = range(-(-plan.trials // sampling.TRIAL_BLOCK))
+                pending[plan] = {b: draw(plan, b) for b in reversed(blocks)}
+                drawn.append(len(pending[plan]))
+            members = pending[plan].pop(block)
+            if not pending[plan]:
+                del pending[plan]
+            return members
 
         for kind, (params, seed, trials) in self.RERUNS.items():
             in_order = tmp_path / f"{kind}-in-order.csv"
             run_experiment(ExperimentConfig(kind, params, seed, trials, str(in_order)))
             with monkeypatch.context() as patch:
-                for module in (sampling, experiments):
-                    patch.setattr(module, "trial_blocks", blocks_drawn_backwards)
+                patch.setattr(sampling, "block_members", block_drawn_backwards)
                 backwards = tmp_path / f"{kind}-backwards.csv"
                 drawn.clear()
                 run_experiment(ExperimentConfig(kind, params, seed, trials, str(backwards)))

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import plan_blocks
 
 from sortition_lab.experiments import ExperimentConfig, run_experiment
 from sortition_lab.model import Mode, Panel, real_feature
@@ -19,7 +20,6 @@ from sortition_lab.sampling import (
     enumerate_panels,
     monte_carlo,
     proportion_ci,
-    trial_blocks,
     trial_rng,
     trial_values,
 )
@@ -135,13 +135,13 @@ class TestTrialStreams:
     def test_block_replays_its_stream(self):
         plan = TrialPlan(30, 5, trials=200, seed=4)
         assert np.array_equal(block_members(plan, 2), block_members(plan, 2))
-        assert [m.shape[0] for m in trial_blocks(plan)] == [TRIAL_BLOCK] * 3 + [200 - 3 * TRIAL_BLOCK]
+        assert [m.shape[0] for m in plan_blocks(plan)] == [TRIAL_BLOCK] * 3 + [200 - 3 * TRIAL_BLOCK]
 
     def test_uniform_over_subsets(self):
         # n=5, k=2: each of the 10 subsets should appear with frequency 1/10 +- 0.01
         draws = 60_000
         plan = TrialPlan(5, 2, trials=draws, seed=17)
-        rows = np.concatenate(list(trial_blocks(plan)))
+        rows = np.concatenate(plan_blocks(plan))
         assert np.all(rows[:, 0] < rows[:, 1])
         counts = Counter(map(tuple, rows.tolist()))
         assert len(counts) == 10
@@ -152,7 +152,7 @@ class TestTrialStreams:
         # n=3, k=2 with replacement: {i, i} has probability 1/9, {i, j} 2/9
         draws = 60_000
         plan = TrialPlan(3, 2, Mode.WITH_REPLACEMENT, trials=draws, seed=18)
-        rows = np.concatenate(list(trial_blocks(plan)))
+        rows = np.concatenate(plan_blocks(plan))
         assert np.all(rows[:, 0] <= rows[:, 1])
         counts = Counter(map(tuple, rows.tolist()))
         assert len(counts) == 6
@@ -162,7 +162,7 @@ class TestTrialStreams:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_rows_are_sorted_panels(self, mode):
         plan = TrialPlan(40, 12, mode, trials=300, seed=21)
-        for members in trial_blocks(plan):
+        for members in plan_blocks(plan):
             steps = np.diff(members, axis=1)
             assert np.all(steps > 0) if mode is Mode.WITHOUT_REPLACEMENT else np.all(steps >= 0)
             assert members.min() >= 0 and members.max() < 40
@@ -171,7 +171,7 @@ class TestTrialStreams:
     def test_matches_sequential_fisher_yates(self, n, k):
         # the block's column swaps replay a per-row Fisher-Yates on its own draws
         plan = TrialPlan(n, k, trials=150, seed=12)
-        for block, members in enumerate(trial_blocks(plan)):
+        for block, members in enumerate(plan_blocks(plan)):
             swaps = trial_rng(12, block).integers(np.arange(k), n, size=(len(members), k))
             for row, targets in zip(members.tolist(), swaps.tolist()):
                 perm = list(range(n))
@@ -192,7 +192,7 @@ class TestTrialValues:
         stat = PanelWasserstein(self.FEATURE)
         plan = TrialPlan(50, 9, trials=300, seed=5)
         batched = trial_values(plan, stat)
-        rows = np.concatenate(list(trial_blocks(plan))).tolist()
+        rows = np.concatenate(plan_blocks(plan)).tolist()
         scalar = [stat(Panel(plan.n, tuple(row), plan.mode)) for row in rows]
         np.testing.assert_allclose(batched, scalar, rtol=0, atol=1e-12)
 
@@ -201,7 +201,7 @@ class TestTrialValues:
         # 130 trials: two full blocks and a partial one; a plain function or
         # an evaluator object with a batch method
         plan = TrialPlan(20, 4, trials=130, seed=6)
-        expected = np.concatenate([m[:, 0] + 0.5 for m in trial_blocks(plan)])
+        expected = np.concatenate([m[:, 0] + 0.5 for m in plan_blocks(plan)])
         stat = lambda members: members[:, 0] + 0.5
         if batch:
             stat = SimpleNamespace(batch=stat)
@@ -224,13 +224,37 @@ class TestTrialValues:
         # the failing block is scored again row by row to find the trial
         plan = TrialPlan(20, 4, trials=200, seed=2)
         first_bad = next(
-            t for t, row in enumerate(np.concatenate(list(trial_blocks(plan))).tolist()) if row[0] == 0
+            t for t, row in enumerate(np.concatenate(plan_blocks(plan)).tolist()) if row[0] == 0
         )
 
         def bad(members):
             if np.any(members[:, 0] == 0):
                 raise ValueError("boom")
             return np.zeros(len(members))
+
+        with pytest.raises(StatisticError) as err:
+            trial_values(plan, bad)
+        assert err.value.trial == first_bad
+
+    def test_columns_match_each_column_alone(self):
+        # a (rows, m) statistic fills (trials, m) values, each column with
+        # the same bits as trial_values of that column's statistic
+        stat = PanelWasserstein(self.FEATURE)
+        columns = [stat.batch, lambda members: members.mean(axis=1), lambda members: members[:, -1] * 0.1]
+        plan = TrialPlan(50, 9, trials=200, seed=3)
+        values = trial_values(plan, lambda members: np.column_stack([c(members) for c in columns]))
+        assert values.shape == (200, 3)
+        for j, column in enumerate(columns):
+            assert values[:, j].tobytes() == trial_values(plan, column).tobytes(), j
+
+    def test_multi_column_failure_reports_trial(self):
+        plan = TrialPlan(20, 4, trials=200, seed=2)
+        first_bad = next(t for t, row in enumerate(np.concatenate(plan_blocks(plan)).tolist()) if row[1] == 1)
+
+        def bad(members):
+            if np.any(members[:, 1] == 1):
+                raise ValueError("boom")
+            return np.column_stack([members[:, 0], members[:, 1]]).astype(float)
 
         with pytest.raises(StatisticError) as err:
             trial_values(plan, bad)
