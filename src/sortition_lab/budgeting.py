@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Sequence, Union
@@ -339,12 +340,16 @@ class CoreLab:
     counts. ``blocked_mask`` walks the cover ``SCAN_ROWS`` allocations at a
     time and adds up the panel's nonzero groups, so its working memory stays
     a few MB at any cover size.
+
+    Both blocking tests are exact in rationals of the binary floats, as
+    ``exact_witness_valid`` re-checks them: the coalition sizes come from
+    exact budget shares, and the margin test compares exact ranks of the
+    linear and shortfall costs (other cost models compare in floats).
     """
 
     def __init__(self, inst: PBInstance, cover: np.ndarray):
         self.inst = inst
         self.cover = np.asarray(cover, dtype=float)
-        self.sums = self.cover.sum(axis=1)
         matrix = cost_matrix(inst, self.cover)
         # hashing each row's bytes is linear, where sorting the rows is not
         numbers: dict[bytes, int] = {}
@@ -352,6 +357,8 @@ class CoreLab:
         self.reps = np.unique(self.group, return_index=True)[1]  # first agent of each group
         self.rows = matrix[self.reps]
         self.pop_counts = panel_counts(self.group, self.rows.shape[0])
+        self.shares = [sum(map(Fraction, row)) / Fraction(inst.B) for row in self.cover.tolist()]  # exact
+        self._needs: dict[tuple[int, float], np.ndarray] = {}
 
     @property
     def n_alloc(self) -> int:
@@ -359,6 +366,57 @@ class CoreLab:
 
     def group_counts(self, panel: Panel) -> np.ndarray:
         return panel_counts(self.group[np.asarray(panel.members)], self.rows.shape[0])
+
+    def need(self, size: int, eta: float) -> np.ndarray:
+        """Smallest coalition that can block by moving to each cover allocation:
+        max(1, ceil((share + eta) * size)) for its exact budget share. In
+        floats the share can round onto an integer that the exact one exceeds."""
+        if (size, eta) not in self._needs:
+            slack = Fraction(eta)
+            need = [max(1, math.ceil((share + slack) * size)) for share in self.shares]
+            self._needs[size, eta] = np.array(need, dtype=np.int32)  # compared with int32 counts
+        return self._needs[size, eta]
+
+    @cached_property
+    def _exact(self) -> list[tuple[list[Fraction], np.ndarray] | None]:
+        """Per group: the exact cost at each distinct cover row its model reads,
+        and each allocation's index into that list; None without an exact form."""
+        exact = []
+        for rep in self.reps:
+            model = self.inst.costs[rep]
+            if isinstance(model, LinearCost):
+                cols = [j for j, a in enumerate(model.alpha) if a] or [0]
+            elif isinstance(model, SaturatingShortfallCost):
+                cols = list(range(self.inst.m))
+            else:
+                exact.append(None)
+                continue
+            _, first, index = np.unique(self.cover[:, cols], axis=0, return_index=True, return_inverse=True)
+            values = [_exact_cost(model, list(map(Fraction, self.cover[i].tolist()))) for i in first]
+            exact.append((values, index.ravel()))
+        return exact
+
+    @cached_property
+    def _orders(self) -> dict[tuple[float, float], tuple[np.ndarray, np.ndarray]]:
+        """``order`` per (rho, tau); made on first use, as ``_exact`` is, since both follow the grouping."""
+        return {}
+
+    def order(self, rho: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """(groups, N) stand-ins for each cost and for rho * cost + tau: a group
+        strictly prefers b to a by the margin iff ``better[g, b] < cost[g, a]``.
+        They are ranks of the exact values, sorted together per group."""
+        if (rho, tau) not in self._orders:
+            rho_f, tau_f = Fraction(rho), Fraction(tau)
+            cost, better = self.rows.copy(), rho * self.rows + tau
+            for g, exact in enumerate(self._exact):
+                if exact is not None:
+                    values, index = exact
+                    moved = [rho_f * c + tau_f for c in values]
+                    rank = {v: i for i, v in enumerate(sorted({*values, *moved}))}
+                    cost[g] = np.array([rank[c] for c in values], dtype=float)[index]
+                    better[g] = np.array([rank[v] for v in moved], dtype=float)[index]
+            self._orders[rho, tau] = cost, better
+        return self._orders[rho, tau]
 
     def blocked_mask(self, counts: np.ndarray, size: int, eta: float, tau: float, rho: float) -> np.ndarray:
         """Boolean mask over the cover: allocation a admits a blocking move.
@@ -368,15 +426,16 @@ class CoreLab:
         when some b has share[b] * size <= T[a, b] and T[a, b] >= 1. A
         blocking coalition must be nonempty; the share test alone would let
         the empty set block via the all-zero allocation at eta = 0. For an
-        integer T the two tests are T[a, b] >= max(1, ceil(share[b] * size)).
+        integer T the two tests are T[a, b] >= ``need(size, eta)[b]``.
         """
-        need = np.maximum(np.ceil((self.sums / self.inst.B + eta) * size), 1.0)
+        cost, better = self.order(rho, tau)
+        need = self.need(size, eta)
         groups = np.flatnonzero(counts)
         weights = np.asarray(counts)[groups].astype(np.int32)
-        better = rho * self.rows[groups] + tau  # (g, N): margin-adjusted cost at each b
+        better = better[groups]  # (g, N): margin-adjusted cost at each b
         mask = np.empty(self.n_alloc, dtype=bool)
         for lo in range(0, self.n_alloc, SCAN_ROWS):
-            current = self.rows[groups, lo : lo + SCAN_ROWS, None]  # (g, rows, 1): cost at each a
+            current = cost[groups, lo : lo + SCAN_ROWS, None]  # (g, rows, 1): cost at each a
             T = np.zeros((current.shape[1], self.n_alloc), dtype=np.int32)
             for weight, b_cost, a_cost in zip(weights, better, current):
                 T += weight * (b_cost < a_cost)
@@ -384,19 +443,21 @@ class CoreLab:
         return mask
 
     def first_witness(self, x: np.ndarray, counts: np.ndarray, size: int, members: Sequence[int] | None, eta: float, tau: float, rho: float) -> CoreWitness | None:
-        cx_groups = np.array([_cost_of(self.inst, gi, x) for gi in self.reps])
-        improves = rho * self.rows + tau < cx_groups[:, None]  # (u, N)
-        T_b = counts @ improves
-        feasible = (self.sums / self.inst.B + eta <= T_b / size) & (T_b >= 1)
-        hits = np.flatnonzero(feasible)
+        xf = [Fraction(float(v)) for v in x]
+        rho_f, tau_f = Fraction(rho), Fraction(tau)
+        improves = rho * self.rows + tau < np.array([_cost_of(self.inst, i, x) for i in self.reps])[:, None]  # (u, N)
+        for g, exact in enumerate(self._exact):
+            if exact is not None:
+                values, index = exact
+                at_x = _exact_cost(self.inst.costs[self.reps[g]], xf)
+                improves[g] = np.array([rho_f * c + tau_f < at_x for c in values])[index]
+        hits = np.flatnonzero(counts @ improves >= self.need(size, eta))
         if hits.size == 0:
             return None
         b = int(hits[0])
         alt = tuple(float(v) for v in self.cover[b])
         pool = range(self.inst.n) if members is None else members
-        coalition = tuple(
-            i for i in pool if rho * self.rows[self.group[i], b] + tau < _cost_of(self.inst, i, x)
-        )
+        coalition = tuple(i for i in pool if improves[self.group[i], b])
         return CoreWitness(alt, coalition, len(coalition) / size)
 
 

@@ -35,8 +35,8 @@ def load_config(path: str, seed=None, trials=None, output=None) -> ExperimentCon
     return ExperimentConfig(
         kind=data["kind"],
         params=data.get("params", {}) or {},
-        seed=int(seed if seed is not None else data.get("seed", 0)),
-        trials=int(trials if trials is not None else data.get("trials", 2000)),
+        seed=seed if seed is not None else data.get("seed", 0),
+        trials=trials if trials is not None else data.get("trials", 2000),
         output=output if output is not None else data.get("output"),
     )
 

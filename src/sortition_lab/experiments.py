@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,7 +111,7 @@ class KindSpec:
     name: str
     claim: str
     defaults: dict
-    runner: Callable[[dict, int, int], ExperimentResult]
+    runner: Callable[..., ExperimentResult]  # (seed, trials, **params)
     validate: Callable[[dict, int], None] = lambda params, trials: None
 
 
@@ -118,16 +119,13 @@ class KindSpec:
 # rep_sweep
 
 
-def _run_rep_sweep(params: dict, seed: int, trials: int) -> ExperimentResult:
-    n = int(params["n"])
-    n_features = int(params["n_features"])
-    eps = float(params["eps"])
-    delta = float(params["delta"])
-    k_grid = tuple(int(k) for k in params["k_grid"]) if params.get("k_grid") else None
+def _run_rep_sweep(
+    seed: int, trials: int, n: int, n_features: int, eps: float, delta: float, k_grid: list[int] | None
+) -> ExperimentResult:
     rng = np.random.default_rng(derived_seed(seed, 0))
     features = [real_feature(rng.random(n)) for _ in range(n_features)]
     sweep = representativeness.min_k_sweep(
-        features, eps, delta, k_grid=k_grid, trials=trials, seed=seed
+        features, eps, delta, k_grid=k_grid or None, trials=trials, seed=seed
     )
     best = min(sweep.rows, key=lambda row: row.failure_rate)
     name = f"lowest failure_rate on the grid (k={best.k}) <= delta"
@@ -162,7 +160,7 @@ def sd_exact_probabilities() -> tuple[Fraction, Fraction, dict[tuple, float]]:
     return probs[Mode.WITHOUT_REPLACEMENT], probs[Mode.WITH_REPLACEMENT], w_values
 
 
-def _run_sd_counterexample(params: dict, seed: int, trials: int) -> ExperimentResult:
+def _run_sd_counterexample(seed: int, trials: int) -> ExperimentResult:
     p_u, p_r, w_values = sd_exact_probabilities()
     rows = [
         {"quantity": "p_without_replacement", "value": float(p_u)},
@@ -183,22 +181,20 @@ def _run_sd_counterexample(params: dict, seed: int, trials: int) -> ExperimentRe
 # concentration
 
 
-def _run_concentration(params: dict, seed: int, trials: int) -> ExperimentResult:
-    n = int(params["n"])
-    ks = [int(k) for k in params["k_list"]]
-    ts = [float(t) for t in params["t_list"]]
-    n_features = int(params["n_features"])
+def _run_concentration(
+    seed: int, trials: int, n: int, k_list: list[int], t_list: list[float], n_features: int
+) -> ExperimentResult:
     rows = []
     checks = []
     for f_idx in range(n_features):
         rng = np.random.default_rng(derived_seed(seed, f_idx))
         feature = real_feature(rng.random(n))
         stat = representativeness.PanelWasserstein(feature)
-        for k_idx, k in enumerate(ks):
+        for k_idx, k in enumerate(k_list):
             plan = TrialPlan(n, k, trials=trials, seed=derived_seed(seed, f_idx, k_idx))
             values = trial_values(plan, stat)
             mu_hat = float(values.mean())
-            for t in ts:
+            for t in t_list:
                 tail = int(np.sum(values >= mu_hat + t))
                 est = proportion_ci(tail, trials)
                 bound = math.exp(-t * t * k / 4.0)
@@ -240,12 +236,9 @@ def _tail_estimate(inst, T, delta, k, trials, seed):
     return monte_carlo(plan, lambda members: within[cd.panel_optimum_index(members)])
 
 
-def _run_facility_tail(params: dict, seed: int, trials: int) -> ExperimentResult:
-    T = float(params["T"])
-    delta = float(params["delta"])
-    star_k = int(params["star_k"])
-    n_instances = int(params["n_instances"])
-    n = int(params["n"])
+def _run_facility_tail(
+    seed: int, trials: int, T: float, delta: float, star_k: int, n_instances: int, n: int
+) -> ExperimentResult:
     k = facility.tail_panel_size(T, delta)
     instances = [facility.star_instance(star_k)]
     for i in range(n_instances):
@@ -273,11 +266,9 @@ def _run_facility_tail(params: dict, seed: int, trials: int) -> ExperimentResult
 # facility_welfare
 
 
-def _run_facility_welfare(params: dict, seed: int, trials: int) -> ExperimentResult:
-    dims = [int(d) for d in params["dims"]]
-    eps = float(params["eps"])
-    k_grid = [int(k) for k in params["k_grid"]]
-    n = int(params["n"])
+def _run_facility_welfare(
+    seed: int, trials: int, dims: list[int], eps: float, k_grid: list[int], n: int
+) -> ExperimentResult:
     rows = []
     checks = []
     for d_idx, dim in enumerate(dims):
@@ -335,8 +326,7 @@ def star_far_probability(k: int) -> tuple[Fraction, float]:
     return total, opt
 
 
-def _run_facility_star(params: dict, seed: int, trials: int) -> ExperimentResult:
-    k_max = int(params["k_max"])
+def _run_facility_star(seed: int, trials: int, k_max: int) -> ExperimentResult:
     rows = []
     checks = []
     for k in range(1, k_max + 1):
@@ -364,12 +354,9 @@ def random_linear_instance(rng: np.random.Generator, m: int, n: int) -> budgetin
     return budgeting.PBInstance(m, budget, costs)
 
 
-def _run_pb_welfare(params: dict, seed: int, trials: int) -> ExperimentResult:
-    m = int(params["m"])
-    n = int(params["n"])
-    eps = float(params["eps"])
-    k_grid = [int(k) for k in params["k_grid"]]
-    n_instances = int(params["n_instances"])
+def _run_pb_welfare(
+    seed: int, trials: int, m: int, n: int, eps: float, k_grid: list[int], n_instances: int
+) -> ExperimentResult:
     rows = []
     checks = []
     for i_idx in range(n_instances):
@@ -402,12 +389,7 @@ def two_block_instance(n: int) -> budgeting.PBInstance:
     return budgeting.PBInstance(2, 1.0, (first,) * (n // 2) + (second,) * (n // 2))
 
 
-def _run_pb_core(params: dict, seed: int, trials: int) -> ExperimentResult:
-    n = int(params["n"])
-    k = int(params["k"])
-    eps = float(params["eps"])
-    step = float(params["step"])
-    delta = float(params["delta"])
+def _run_pb_core(seed: int, trials: int, n: int, k: int, eps: float, step: float, delta: float) -> ExperimentResult:
     inst = two_block_instance(n)
     report = budgeting.core_extrapolation_experiment(
         inst, k, eps, trials=trials, seed=seed, step=step
@@ -424,12 +406,10 @@ def _run_pb_core(params: dict, seed: int, trials: int) -> ExperimentResult:
 # pb_lower
 
 
-def _run_pb_lower(params: dict, seed: int, trials: int) -> ExperimentResult:
-    h = int(params["h"])
-    w = int(params["w"])
-    r = int(params["r"])
-    z = tuple(int(s) for s in params["z"]) if params.get("z") else (1,) * h
-    k_grid = [int(k) for k in params["k_grid"]]
+def _run_pb_lower(
+    seed: int, trials: int, h: int, w: int, r: int, z: list[int] | None, k_grid: list[int]
+) -> ExperimentResult:
+    z = z or [1] * h
     inst = budgeting.pb_lower_instance(z, h, w, r)
     x_opt, opt = budgeting.optimal_allocation(inst)
     expected = budgeting.pb_lower_opt(w)
@@ -479,13 +459,9 @@ def random_site_instance(
     return facility.FacilityInstance(Segment(0.0, 1.0), candidates, agents)
 
 
-def _run_multifacility_line(params: dict, seed: int, trials: int) -> ExperimentResult:
-    eps_list = [float(e) for e in params["eps_list"]]
-    c = float(params["c"])
-    ells = [int(e) for e in params["ells"]]
-    n_instances = int(params["n_instances"])
-    n = int(params["n"])
-    n_sites = int(params["n_sites"])
+def _run_multifacility_line(
+    seed: int, trials: int, eps_list: list[float], c: float, ells: list[int], n_instances: int, n: int, n_sites: int
+) -> ExperimentResult:
     rows = []
     checks = []
     for eps_idx, eps in enumerate(eps_list):
@@ -541,9 +517,7 @@ def _run_multifacility_line(params: dict, seed: int, trials: int) -> ExperimentR
 # multifacility_impossible
 
 
-def _run_multifacility_impossible(params: dict, seed: int, trials: int) -> ExperimentResult:
-    k_max = int(params["k_max"])
-    n = int(params["n"])
+def _run_multifacility_impossible(seed: int, trials: int, k_max: int, n: int) -> ExperimentResult:
     inst_a, inst_b = multifacility.impossibility_instance(n)
     opt_a = multifacility.brute_force_facilities(inst_a)[0]
     opt_b = multifacility.brute_force_facilities(inst_b)[0]
@@ -574,62 +548,72 @@ def _register(spec: KindSpec):
 
 
 def _require_above(params: dict, key: str, floor: float):
-    if float(params[key]) <= floor:
+    if params[key] <= floor:
         raise ValueError(f"{key} must be greater than {floor}")
 
 
-def _validate_k_grid_fits(params: dict, k_key: str = "k_grid", n: int | None = None):
-    ks = params[k_key]
-    if ks in (None, []):
-        return  # rep_sweep picks its own grid
-    ks = [int(k) for k in (ks if isinstance(ks, list) else [ks])]
+def _validate_k_grid_fits(key: str, ks: list[int] | None, n: int):
+    """Every panel size in ``ks`` lies in 1..n; a null or empty grid is rep_sweep's own choice."""
+    if not ks:
+        return
     if min(ks) < 1:
-        raise ValueError(f"panel size k={min(ks)} in {k_key} must be at least 1")
-    n = int(params["n"]) if n is None else n
+        raise ValueError(f"panel size k={min(ks)} in {key} must be at least 1")
     if max(ks) > n:
-        raise ValueError(f"panel size k={max(ks)} in {k_key} exceeds the population n={n}")
+        raise ValueError(f"panel size k={max(ks)} in {key} exceeds the population n={n}")
+
+
+def _validate_facility_welfare(params: dict, trials: int):
+    if min(params["dims"]) < 1:
+        raise ValueError(f"dims {params['dims']} must all be at least 1")
+    _validate_k_grid_fits("k_grid", params["k_grid"], params["n"])
+
+
+def _validate_pb_welfare(params: dict, trials: int):
+    if params["m"] < 2:
+        raise ValueError(f"m={params['m']} must be at least 2 projects")
+    _validate_k_grid_fits("k_grid", params["k_grid"], params["n"])
 
 
 def _validate_pb_lower(params: dict, trials: int):
-    _validate_k_grid_fits(params, n=2 * int(params["h"]) * int(params["w"]) * int(params["r"]))
+    # the population checks z itself: len(z) == h and every entry -1 or +1
+    pop = make_camouflaged(params["z"] or [1] * params["h"], params["h"], params["w"], params["r"])
+    _validate_k_grid_fits("k_grid", params["k_grid"], pop.n)
 
 
 def _validate_multifacility_line(params: dict, trials: int):
     for key in ("ells", "eps_list"):
-        values = [float(v) for v in params[key]]
-        if len(set(values)) < len(values):
+        if len(set(params[key])) < len(params[key]):
             raise ValueError(f"{key} {params[key]} repeats a value; each would count twice")
-    bad = [ell for ell in params["ells"] if not 1 <= int(ell) <= SITE_CANDIDATES]
+    bad = [ell for ell in params["ells"] if not 1 <= ell <= SITE_CANDIDATES]
     if bad:
         raise ValueError(f"ells {bad} must lie in 1..{SITE_CANDIDATES}, the candidate count")
     _require_above(params, "c", 0.0)
-    eps = min(float(e) for e in params["eps_list"])
+    eps = min(params["eps_list"])
     if eps <= 0.0:
         raise ValueError("every eps must be greater than 0")
-    k = math.ceil(float(params["c"]) / (eps * eps))
-    if k > int(params["n"]):
+    k = math.ceil(params["c"] / (eps * eps))
+    if k > params["n"]:
         raise ValueError(f"eps={eps} needs panels of k={k}, more than the population {params['n']}")
-    if int(params["n_instances"]) * trials < 2:
+    if params["n_instances"] * trials < 2:
         raise ValueError("n_instances * trials must be at least 2 for a confidence interval on the gap")
 
 
 def _validate_multifacility_impossible(params: dict, trials: int):
-    if int(params["k_max"]) > int(params["n"]):
+    if params["k_max"] > params["n"]:
         raise ValueError(f"k_max={params['k_max']} exceeds the population n={params['n']}")
 
 
 def _validate_pb_core(params: dict, trials: int):
     _require_above(params, "step", 0.0)
-    _validate_k_grid_fits(params, "k")
-    if int(params["n"]) % 2:
+    _validate_k_grid_fits("k", [params["k"]], params["n"])
+    if params["n"] % 2:
         raise ValueError(f"n={params['n']} must be even to split into two equal blocks")
 
 
 def _validate_tail(params: dict, trials: int):
     _require_above(params, "T", 2.0)
-    k = facility.tail_panel_size(float(params["T"]), float(params["delta"]))
-    smallest = min(2 * int(params["star_k"]) + 1, int(params["n"]))
-    if smallest < k:
+    k = facility.tail_panel_size(params["T"], params["delta"])
+    if min(2 * params["star_k"] + 1, params["n"]) < k:
         raise ValueError(
             f"population sizes must reach the formula panel size k={k}; "
             f"raise star_k or n"
@@ -643,7 +627,7 @@ _register(
         "nonincreasing in k and crosses delta",
         {"n": 128, "n_features": 4, "eps": 0.2, "delta": 0.1, "k_grid": None},
         _run_rep_sweep,
-        lambda params, trials: _validate_k_grid_fits(params),
+        lambda params, trials: _validate_k_grid_fits("k_grid", params["k_grid"], params["n"]),
     )
 )
 _register(
@@ -662,7 +646,7 @@ _register(
         "as fast as exp(-t^2 k / 4)",
         {"n": 200, "k_list": [25, 100], "t_list": [0.1, 0.2, 0.3], "n_features": 5},
         _run_concentration,
-        lambda params, trials: _validate_k_grid_fits(params, "k_list"),
+        lambda params, trials: _validate_k_grid_fits("k_list", params["k_list"], params["n"]),
     )
 )
 _register(
@@ -682,7 +666,7 @@ _register(
         "(1 + eps) times optimal as the panel grows (box instances)",
         {"dims": [1, 2], "eps": 0.2, "k_grid": [16, 64, 256], "n": 400},
         _run_facility_welfare,
-        lambda params, trials: _validate_k_grid_fits(params),
+        _validate_facility_welfare,
     )
 )
 _register(
@@ -701,7 +685,7 @@ _register(
         "eps of optimal and shrinks with the panel size",
         {"m": 2, "n": 200, "eps": 0.1, "k_grid": [4, 16, 64], "n_instances": 10},
         _run_pb_welfare,
-        lambda params, trials: _validate_k_grid_fits(params),
+        _validate_pb_welfare,
     )
 )
 _register(
@@ -757,43 +741,64 @@ class UsageError(ValueError):
     pass
 
 
-def validate_config(config: ExperimentConfig) -> KindSpec:
+def _typed(key: str, value, default):
+    """``value`` in the type of its default, or a ValueError that names ``key``.
+
+    An int default takes a JSON integer (not a bool) and a float default any
+    finite number; a list default takes a nonempty list whose entries follow
+    its first element. A None default takes null or [] (the built-in choice)
+    or a list of integers.
+    """
+    if default is None:
+        return value if value is None or value == [] else _typed(key, value, [0])
+    if isinstance(default, list):
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"{key} must be a nonempty list")
+        return [_typed(f"each entry of {key}", v, default[0]) for v in value]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, int):
+        if not (number and isinstance(value, int)):
+            raise ValueError(f"{key} must be an integer, not {value!r}")
+        return value
+    if not (number and abs(value) <= sys.float_info.max):  # no nan, no infinity, no int beyond float range
+        raise ValueError(f"{key} must be a finite number, not {value!r}")
+    return float(value)
+
+
+def validate_config(config: ExperimentConfig) -> tuple[KindSpec, dict]:
+    """Check a config once; returns its kind and every param typed as its default."""
     if config.kind not in KINDS:
         raise UsageError(f"unknown kind {config.kind!r}; see `sortition-lab list`")
     spec = KINDS[config.kind]
-    if config.seed < 0:
-        raise UsageError("seed must be nonnegative")
-    if config.trials < 1:
-        raise UsageError("trials must be positive")
-    unknown = set(config.params) - set(spec.defaults)
-    if unknown:
-        raise UsageError(f"unknown params for {config.kind}: {sorted(unknown)}")
-    # null means "use the built-in choice", which only a None default has
-    nulls = sorted(key for key, value in config.params.items() if value is None and spec.defaults[key] is not None)
-    if nulls:
-        raise UsageError(f"params {nulls} of {config.kind} may not be null")
-    merged = dict(spec.defaults)
-    merged.update(config.params)
     try:
-        # an empty list or a zero count would leave the criterion nothing to check
-        for key, default in spec.defaults.items():
-            if isinstance(default, list) and not (isinstance(merged[key], list) and merged[key]):
-                raise ValueError(f"{key} must be a nonempty list")
-        for key in ("n_features", "n_instances", "n_sites"):
-            if key in merged and int(merged[key]) < 1:
+        if _typed("seed", config.seed, 0) < 0:
+            raise ValueError("seed must be nonnegative")
+        if _typed("trials", config.trials, 0) < 1:
+            raise ValueError("trials must be positive")
+        if not isinstance(config.params, dict):
+            raise ValueError(f"params must be a JSON object, not {config.params!r}")
+        unknown = set(config.params) - set(spec.defaults)
+        if unknown:
+            raise ValueError(f"unknown params for {config.kind}: {sorted(unknown)}")
+        # null means "use the built-in choice", which only a None default has
+        nulls = sorted(key for key, value in config.params.items() if value is None and spec.defaults[key] is not None)
+        if nulls:
+            raise ValueError(f"params {nulls} of {config.kind} may not be null")
+        params = {key: _typed(key, config.params.get(key, default), default) for key, default in spec.defaults.items()}
+        spec.validate(params, config.trials)
+        # a zero count would leave the criterion nothing to check
+        for key, value in params.items():
+            if isinstance(value, int) and value < 1:
                 raise ValueError(f"{key} must be at least 1")
-        spec.validate(merged, config.trials)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return spec
+    return spec, params
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[int, ExperimentResult]:
     """Run one experiment; returns (exit code, result) and writes the CSV."""
-    spec = validate_config(config)
-    params = dict(spec.defaults)
-    params.update(config.params)
-    result = spec.runner(params, config.seed, config.trials)
+    spec, params = validate_config(config)
+    result = spec.runner(config.seed, config.trials, **params)
     if config.output:
         write_csv(config.output, result.columns, result.rows)
     return (0 if result.passed else 1), result

@@ -210,9 +210,9 @@ def test_08_multifacility_panel_bound():
 def test_09_multifacility_line_trend():
     started = time.perf_counter()
     result = experiments._run_multifacility_line(
-        {"eps_list": [0.2, 0.1], "c": 4.0, "ells": [1, 2, 3], "n_instances": 10, "n": 500, "n_sites": 10},
         seed=909,
         trials=150,
+        eps_list=[0.2, 0.1], c=4.0, ells=[1, 2, 3], n_instances=10, n=500, n_sites=10,
     )
     ks = sorted({row["k"] for row in result.rows})
     # strict flatness drops the eps/20 tolerance the flatness checks allow
@@ -229,9 +229,9 @@ def test_09_multifacility_line_trend():
 def test_10_budget_welfare_trend():
     started = time.perf_counter()
     result = experiments._run_pb_welfare(
-        {"m": 2, "n": 200, "eps": 0.1, "k_grid": [4, 16, 64], "n_instances": 10},
         seed=1010,
         trials=2000,
+        m=2, n=200, eps=0.1, k_grid=[4, 16, 64], n_instances=10,
     )
     gap_64 = [row for row in result.rows if row["k"] == 64]
     bound_ok = all(row["gap_or_rate"] <= 0.1 + 3.0 * row["ci"] for row in gap_64)

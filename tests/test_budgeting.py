@@ -1,12 +1,13 @@
 import copy
 import hashlib
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import plan_blocks
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sortition_lab import budgeting
@@ -229,15 +230,18 @@ class TestCoreCheck:
         assert witness.coalition_fraction == pytest.approx(0.75)
 
 
-def per_allocation_blocked_mask(lab, counts, size, eta, tau, rho):
-    """Frozen copy of the per-allocation loop that CoreLab.blocked_mask replaced."""
-    share = lab.sums / lab.inst.B + eta
+def exact_blocked_mask(lab, counts, size, eta, tau, rho):
+    """All-Fraction per-allocation scan: exact costs from each group's cost
+    model and exact budget shares, over the binary floats of the cover."""
+    cover = [[Fraction(v) for v in row] for row in lab.cover.tolist()]
+    eta, tau, rho, budget = (Fraction(v) for v in (eta, tau, rho, lab.inst.B))
+    costs = [[budgeting._exact_cost(lab.inst.costs[i], y) for y in cover] for i in lab.reps]
+    moved = [[rho * c + tau for c in row] for row in costs]
+    shares = [sum(y) / budget + eta for y in cover]
     mask = np.empty(lab.n_alloc, dtype=bool)
-    agent_costs = lab.rows  # (u, N)
     for a in range(lab.n_alloc):
-        improves = rho * agent_costs + tau < agent_costs[:, a][:, None]
-        T_b = counts @ improves
-        mask[a] = bool(np.any((share * size <= T_b) & (T_b >= 1)))
+        T = [sum(int(c) for c, row, mv in zip(counts, costs, moved) if mv[b] < row[a]) for b in range(lab.n_alloc)]
+        mask[a] = any(t >= 1 and share * size <= t for t, share in zip(T, shares))
     return mask
 
 
@@ -246,15 +250,22 @@ EIGHTHS = st.integers(0, 8).map(lambda i: i / 8)
 
 @st.composite
 def grouped_core_cases(draw):
-    """A grouped linear instance, its cover, and group counts on a 1/8 grid."""
+    """A grouped instance of linear and shortfall costs, its cover, and group
+    counts on a 1/8 grid."""
     m = draw(st.sampled_from([2, 3]))
-    alphas = draw(st.lists(st.lists(EIGHTHS, min_size=m, max_size=m), min_size=1, max_size=4))
     costs = []
-    for alpha in alphas:
-        scale = max(1.0, sum(alpha))
-        costs += [LinearCost(tuple(a / scale for a in alpha))] * draw(st.integers(1, 5))
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            alpha = draw(st.lists(EIGHTHS, min_size=m, max_size=m))
+            scale = max(1.0, sum(alpha))
+            model = LinearCost(tuple(a / scale for a in alpha))
+        else:
+            model = SaturatingShortfallCost(draw(st.sampled_from([0.0, 1.0, 2.0])))
+        costs += [model] * draw(st.integers(1, 5))
     inst = PBInstance(m, draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])), tuple(costs))
-    lab = CoreLab(inst, simplex_cover(m, inst.B, draw(st.sampled_from([0.5, 0.25, 0.125]))))
+    # the exact scan compares every pair of allocations in Fractions: at most 105 of them
+    steps = [0.5, 0.25, 0.125] if m == 2 else [0.5, 0.25]
+    lab = CoreLab(inst, simplex_cover(m, inst.B, draw(st.sampled_from(steps))))
     u = lab.rows.shape[0]
     if draw(st.booleans()):
         counts, size = lab.pop_counts, inst.n
@@ -266,12 +277,23 @@ def grouped_core_cases(draw):
     return lab, counts, size, eta, tau, rho
 
 
+def population_case(costs, budget, step, eta, tau, rho):
+    """A three-project instance scanned with its population counts."""
+    inst = PBInstance(3, budget, costs)
+    lab = CoreLab(inst, simplex_cover(3, budget, step))
+    return lab, lab.pop_counts, inst.n, eta, tau, rho
+
+
 class TestBlockedMask:
     @settings(max_examples=200)
     @given(grouped_core_cases())
+    # float margins disagreed with this scan here: rho * cost + tau rounded to
+    # the wrong side of the cost it is compared with
+    @example(population_case((SaturatingShortfallCost(2.0),) * 2, 2.0, 0.5, 0.0625, 0.25, 2.0))
+    @example(population_case((LinearCost((0.625 / 1.5, 0.875 / 1.5, 0.0)),), 2.0, 0.25, 0.3125, 0.375, 2.0))
     def test_matches_per_allocation_loop(self, case):
         lab, counts, size, eta, tau, rho = case
-        expected = per_allocation_blocked_mask(lab, counts, size, eta, tau, rho)
+        expected = exact_blocked_mask(lab, counts, size, eta, tau, rho)
         assert np.array_equal(lab.blocked_mask(counts, size, eta, tau, rho), expected)
 
     def test_two_masks_stay_small_at_fine_step(self):
@@ -355,6 +377,19 @@ class TestCoreGrouping:
         assert out.read_text().splitlines()[1] == "3,0.1,0,0,1,0.222,0.03642817,0"
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "441bf08dc4c6c1793d9d77c2ed65a83dd8e5319777f545279d759a2092e286bf"
+
+    def test_exact_shares_reach_a_verdict(self, tmp_path):
+        # share 0.45 + eps 0.05 rounds to 1/2 in floats while the exact sum
+        # exceeds it: the float scan blocked allocations that the exact
+        # re-verification rejected, and the run crashed on trial 2. Exact
+        # shares alone read 0.182; float margins missed real blocking moves
+        out = tmp_path / "core.csv"
+        params = {"n": 200, "k": 16, "step": 0.025, "eps": 0.05}
+        code, result = run_experiment(ExperimentConfig("pb_core", params, seed=0, trials=500, output=str(out)))
+        assert code == 1
+        assert result.rows[0]["gap_or_rate"] == 0.422
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "15911ddf87b16ee7e5fe98eff2479e8ff5f32a3a2a9154e6e2dd995ec8cfb298"
 
 
 class TestWelfare:

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import os
+import re
+import types
+import typing
 
 import pytest
 
@@ -23,6 +26,42 @@ def write_config(tmp_path, **fields):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(fields))
     return str(path)
+
+
+def of_type(value, hint) -> bool:
+    """``value`` has exactly the annotated type: no bool for int, no int for float."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(of_type(value, option) for option in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        return type(value) is list and all(of_type(v, typing.get_args(hint)[0]) for v in value)
+    return type(value) is hint
+
+
+# Configs that cannot run, each with the field its error names; every number
+# must be a JSON integer where the default is an integer, and no param takes
+# a string or a bool.
+MALFORMED_CONFIGS = [
+    ({"kind": "concentration", "seed": "x"}, "seed"),
+    ({"kind": "concentration", "trials": "many"}, "trials"),
+    ({"kind": "concentration", "params": 5}, "params"),
+    ({"kind": "facility_tail", "params": {"n_instances": None}}, "n_instances"),
+    ({"kind": "rep_sweep", "params": {"eps": None}}, "eps"),
+    ({"kind": "pb_core", "params": {"k": None}}, "k"),
+    (
+        {"kind": "concentration", "seed": 1.9, "trials": 2.5,
+         "params": {"n": 40.7, "k_list": [8.9], "t_list": [0.2], "n_features": 2}},
+        "seed",
+    ),
+    ({"kind": "facility_tail", "params": {"T": "3"}}, "T"),
+    ({"kind": "pb_core", "params": {"eps": "0.25"}}, "eps"),
+    ({"kind": "concentration", "params": {"n_features": True}}, "n_features"),
+    ({"kind": "concentration", "trials": True}, "trials"),
+    ({"kind": "multifacility_line", "params": {"ells": [1, 1.5]}}, "ells"),
+    ({"kind": "facility_welfare", "params": {"dims": [1.7]}}, "dims"),
+    ({"kind": "rep_sweep", "params": {"k_grid": [4.5, 16]}}, "k_grid"),
+    ({"kind": "pb_lower", "params": {"z": [1.5, -1]}}, "z"),
+    ({"kind": "pb_core", "params": {"eps": 10**400}}, "eps"),
+]
 
 
 class TestListKinds:
@@ -57,6 +96,22 @@ class TestValidation:
 
     def test_ok(self):
         validate_config(ExperimentConfig("facility_tail", {"T": 3.0, "delta": 0.1}))
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_defaults_are_their_own_typed_params(self, kind):
+        # the runner's signature states each param's type: a default like
+        # "c": 4 would make c an integer param and reject 4.5
+        spec = KINDS[kind]
+        _, params = validate_config(ExperimentConfig(kind, {}))
+        assert params == spec.defaults
+        hints = typing.get_type_hints(spec.runner)
+        assert list(hints) == ["seed", "trials", *spec.defaults, "return"]
+        for key, value in params.items():
+            default = spec.defaults[key]
+            assert type(value) is type(default)
+            if isinstance(value, list):
+                assert [type(v) for v in value] == [type(v) for v in default]
+            assert of_type(value, hints[key]), key
 
 
 class TestCliCommands:
@@ -119,6 +174,15 @@ class TestCliCommands:
             ("multifacility_line", {"ells": []}, "ells must be a nonempty list"),
             ("multifacility_line", {"n_sites": 0}, "n_sites must be at least 1"),
             ("multifacility_line", {"n_sites": -1}, "n_sites must be at least 1"),
+            ("facility_star", {"k_max": 0}, "k_max must be at least 1"),
+            ("multifacility_impossible", {"k_max": 0}, "k_max must be at least 1"),
+            ("pb_welfare", {"m": 0}, "m=0 must be at least 2 projects"),
+            ("rep_sweep", {"n": 0}, "n must be at least 1"),
+            # configs that validated, then crashed the run with exit 3
+            ("pb_lower", {"z": [1, -1, 1]}, "need len(z) == h, got 3 != 2"),
+            ("pb_lower", {"z": [0, 1]}, "z entries must be -1 or +1"),
+            ("facility_welfare", {"dims": [0]}, "dims [0] must all be at least 1"),
+            ("pb_welfare", {"m": 1}, "m=1 must be at least 2 projects"),
         ],
     )
     def test_run_that_checks_nothing_rejected(self, tmp_path, capsys, kind, params, reason):
@@ -147,17 +211,10 @@ class TestCliCommands:
         assert "PASS" not in captured.out and "FAIL" not in captured.out
 
     @pytest.mark.parametrize(
-        "config",
-        [
-            {"kind": "concentration", "seed": "x"},
-            {"kind": "concentration", "trials": "many"},
-            {"kind": "concentration", "params": 5},
-            {"kind": "facility_tail", "params": {"n_instances": None}},
-            {"kind": "rep_sweep", "params": {"eps": None}},
-            {"kind": "pb_core", "params": {"k": None}},
-        ],
+        "config, field",
+        [pytest.param(config, field, id=f"config{i}") for i, (config, field) in enumerate(MALFORMED_CONFIGS)],
     )
-    def test_malformed_config_exits_two(self, tmp_path, capsys, config):
+    def test_malformed_config_exits_two(self, tmp_path, capsys, config, field):
         # exit 1 means a criterion failed; a config that cannot run is a usage error
         cfg = write_config(tmp_path, **config)
         assert main(["validate", cfg]) == 2
@@ -166,6 +223,8 @@ class TestCliCommands:
         assert captured.err.startswith("invalid: ") and "\nerror: " in captured.err
         assert "Traceback" not in captured.err
         assert "PASS" not in captured.out and "FAIL" not in captured.out
+        for line in captured.err.splitlines():
+            assert re.search(rf"\b{field}\b", line), line
 
     def test_null_only_where_the_default_is_none(self):
         with pytest.raises(UsageError, match=r"params \['delta', 'eps'\] of rep_sweep may not be null"):
@@ -202,7 +261,7 @@ class TestCliCommands:
         assert "does not exist" in capsys.readouterr().err
 
     def test_runner_crash_exits_three(self, tmp_path, capsys, monkeypatch):
-        def crash(params, seed, trials):
+        def crash(seed, trials, **params):
             raise StatisticError(7, ZeroDivisionError("division by zero"))
 
         spec = dataclasses.replace(KINDS["facility_star"], runner=crash)
@@ -271,6 +330,11 @@ FAILING_CONFIGS = [
         "facility_welfare", {"dims": [1], "eps": 0.3, "k_grid": [32, 4], "n": 60}, 400,
         "1/2 checks failed, first: mean_sc dim=1 k=4 <= its value at k=32 + 3ci "
         "(value 0.28288878, bound 0.266703487)",
+    ),
+    (
+        # crashed while shares and margins were floats: 0.45 + 0.05 rounds to 1/2
+        "pb_core", {"n": 200, "k": 16, "step": 0.025, "eps": 0.05}, 500,
+        "1/2 checks failed, first: population-core failure rate <= delta (value 0.422, bound 0.1)",
     ),
 ]
 

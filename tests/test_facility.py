@@ -352,7 +352,7 @@ class TestCandidateDistances:
         params = {"dims": [3], "eps": 0.2, "k_grid": [100, 400], "n": 400}
         tracemalloc.start()
         try:
-            experiments._run_facility_welfare(params, seed=0, trials=128)
+            experiments._run_facility_welfare(seed=0, trials=128, **params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
