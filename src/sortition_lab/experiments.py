@@ -9,6 +9,7 @@ config and seed produce byte-identical CSV.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import os
@@ -33,7 +34,9 @@ from .model import (
     real_feature,
 )
 from .sampling import (
+    ENUMERATION_CAP,
     TrialPlan,
+    _weighted_panels,
     derived_seed,
     enumerate_panels,
     mean_ci,
@@ -312,18 +315,21 @@ def _run_facility_welfare(
 
 
 def star_far_probability(k: int) -> tuple[Fraction, float]:
-    """Exact P[d(panel choice, optimum) >= 2 * opt] on the star instance."""
+    """Exact P[d(panel choice, optimum) >= 2 * opt] on the star instance.
+
+    Every k-subset is scored, 4,096 panels per ``(rows, k)`` block, so memory
+    stays flat however many panels there are.
+    """
     inst = facility.star_instance(k)
     cd = facility.CandidateDistances(inst)
     q_idx = cd.optimum_index()
     opt = float(cd.social[q_idx])
-    q_star = inst.candidates[q_idx]
-    total = Fraction(0)
-    for panel, prob in enumerate_panels(inst.n, k, Mode.WITHOUT_REPLACEMENT):
-        chosen = inst.candidates[cd.panel_optimum_index(panel.members)]
-        if inst.space.distance(chosen, q_star) >= 2.0 * opt:
-            total += prob
-    return total, opt
+    far = pairwise(inst.space, inst.candidates, [inst.candidates[q_idx]])[:, 0] >= 2.0 * opt
+    panels = (members for members, _ in _weighted_panels(inst.n, k, Mode.WITHOUT_REPLACEMENT))
+    hits = 0
+    while (block := np.fromiter(itertools.chain.from_iterable(itertools.islice(panels, 4096)), np.intp)).size:
+        hits += int(np.count_nonzero(far[cd.panel_optimum_index(block.reshape(-1, k))]))
+    return Fraction(hits, math.comb(inst.n, k)), opt
 
 
 def _run_facility_star(seed: int, trials: int, k_max: int) -> ExperimentResult:
@@ -517,6 +523,24 @@ def _run_multifacility_line(
 # multifacility_impossible
 
 
+def expected_panel_cost(inst: multifacility.MultiFacilityInstance, k: int) -> Fraction:
+    """Exact mean social cost of the panel-optimal facilities over every k-subset of a line instance.
+
+    A panel's facilities depend only on its sorted agent positions, so the
+    line DP runs once per distinct position tuple, weighted by its count.
+    """
+    base = inst.base
+    tally = collections.Counter(
+        tuple(sorted(base.agents[i] for i in members))
+        for members, _ in _weighted_panels(base.n, k, Mode.WITHOUT_REPLACEMENT)
+    )
+    total = Fraction(0)
+    for positions, count in tally.items():
+        _, chosen = multifacility.kmedian_line(positions, base.candidates, inst.ell)
+        total += Fraction(count, math.comb(base.n, k)) * Fraction(multifacility.multi_cost(inst, chosen))
+    return total
+
+
 def _run_multifacility_impossible(seed: int, trials: int, k_max: int, n: int) -> ExperimentResult:
     inst_a, inst_b = multifacility.impossibility_instance(n)
     opt_a = multifacility.brute_force_facilities(inst_a)[0]
@@ -524,11 +548,7 @@ def _run_multifacility_impossible(seed: int, trials: int, k_max: int, n: int) ->
     rows = []
     checks = [Check("opt_a == 0", opt_a, 0.0, opt_a == 0.0), Check("opt_b == 0", opt_b, 0.0, opt_b == 0.0)]
     for k in range(1, k_max + 1):
-        expected_sc = Fraction(0)
-        for panel, prob in enumerate_panels(n, k, Mode.WITHOUT_REPLACEMENT):
-            _, chosen = multifacility.panel_facilities(inst_b, panel)
-            sc = multifacility.multi_cost(inst_b, chosen)
-            expected_sc += prob * Fraction(sc)
+        expected_sc = expected_panel_cost(inst_b, k)
         rows.append(
             {"k": k, "expected_sc": float(expected_sc), "opt_a": opt_a, "opt_b": opt_b}
         )
@@ -598,9 +618,20 @@ def _validate_multifacility_line(params: dict, trials: int):
         raise ValueError("n_instances * trials must be at least 2 for a confidence interval on the gap")
 
 
+def _validate_enumeration(n: int, k: int, k_max: int):
+    """Reject ``k_max`` when C(n, k) panels exceed ``ENUMERATION_CAP``; stops as soon as they do."""
+    count = 1
+    for i in range(min(k, n - k)):
+        count = count * (n - i) // (i + 1)  # C(n, i + 1), which grows while i + 1 <= n / 2
+        if count > ENUMERATION_CAP:
+            raise ValueError(f"k_max={k_max} needs C({n},{k}) panels, more than the enumeration cap {ENUMERATION_CAP}")
+
+
 def _validate_multifacility_impossible(params: dict, trials: int):
-    if params["k_max"] > params["n"]:
-        raise ValueError(f"k_max={params['k_max']} exceeds the population n={params['n']}")
+    k_max, n = params["k_max"], params["n"]
+    if k_max > n:
+        raise ValueError(f"k_max={k_max} exceeds the population n={n}")
+    _validate_enumeration(n, min(k_max, n // 2), k_max)
 
 
 def _validate_pb_core(params: dict, trials: int):
@@ -676,6 +707,7 @@ _register(
         "twice the optimal cost more than 3/4 of the time (exact enumeration)",
         {"k_max": 6},
         _run_facility_star,
+        lambda params, trials: _validate_enumeration(2 * params["k_max"] + 1, params["k_max"], params["k_max"]),
     )
 )
 _register(

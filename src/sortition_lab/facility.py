@@ -100,7 +100,7 @@ class CandidateDistances:
         int, or of each row of a ``(rows, k)`` member matrix, gathered a few
         rows at a time."""
         members = np.asarray(members)
-        if members.ndim == 1:  # the exact enumerations call this once per panel
+        if members.ndim == 1:  # one panel, as panel_optimum passes
             return int(np.argmin(self.matrix[:, members].mean(axis=-1)))
         step = max(1, GATHER_CELLS // (self.matrix.shape[0] * members.shape[1]))
         return np.concatenate([

@@ -277,7 +277,16 @@ class DiscreteDistribution:
     """Finitely supported probability distribution over a metric space.
 
     Support points within ``MERGE_TOL`` of each other are merged, with their
-    masses added. When built from integer counts (see :meth:`from_counts`)
+    masses added. On a ``Segment`` the points are stably sorted by value and
+    merged in one pass (the anchor rule): a group is the run of sorted points
+    within ``MERGE_TOL`` of its smallest point, so which points merge does
+    not depend on the input order. A group keeps its first point in input
+    order and adds its masses and counts in input order; the support is
+    sorted. Elsewhere each point joins the first kept point within
+    ``MERGE_TOL``, in input order; on a ``Segment`` that scan, then sorted,
+    agrees with the anchor rule unless near-duplicates form a chain (y
+    within ``MERGE_TOL`` of x and z of y, but z not of x).
+    When built from integer counts (see :meth:`from_counts`)
     the exact rational masses are retained alongside the float ones, which
     lets transport computations on the line return correctly rounded
     results.
@@ -299,31 +308,17 @@ class DiscreteDistribution:
             raise ValueError("masses must be nonnegative")
         counts = list(_counts) if _counts is not None else None
 
-        merged_pts: list = []
-        merged_w: list[float] = []
-        merged_c: list[int] | None = [] if counts is not None else None
-        for idx, p in enumerate(points):
-            hit = None
-            for j, q in enumerate(merged_pts):
-                if space.distance(p, q) < MERGE_TOL:
-                    hit = j
-                    break
-            if hit is None:
-                merged_pts.append(p)
-                merged_w.append(weights[idx])
-                if merged_c is not None:
-                    merged_c.append(counts[idx])
+        group, size = _anchor_groups(points) if isinstance(space, Segment) else _scan_groups(space, points)
+        merged_pts: list = [None] * size
+        merged_w: list = [None] * size
+        merged_c = [0] * size if counts is not None else None
+        for i, g in enumerate(group):  # input order
+            if merged_w[g] is None:
+                merged_pts[g], merged_w[g] = points[i], weights[i]
             else:
-                merged_w[hit] += weights[idx]
-                if merged_c is not None:
-                    merged_c[hit] += counts[idx]
-
-        if isinstance(space, Segment):
-            order = sorted(range(len(merged_pts)), key=lambda j: merged_pts[j])
-            merged_pts = [merged_pts[j] for j in order]
-            merged_w = [merged_w[j] for j in order]
+                merged_w[g] += weights[i]
             if merged_c is not None:
-                merged_c = [merged_c[j] for j in order]
+                merged_c[g] += counts[i]
 
         total = math.fsum(merged_w)
         if abs(total - 1.0) > MERGE_TOL:
@@ -379,6 +374,31 @@ class DiscreteDistribution:
         if self.is_exact:
             data["counts"] = list(self.counts)
         return data
+
+
+def _anchor_groups(points: list) -> tuple[list[int], int]:
+    """Group of each line point under the anchor rule, numbered by value: one stable sort, one pass."""
+    group = [0] * len(points)
+    size, anchor = 0, -math.inf
+    for i in sorted(range(len(points)), key=points.__getitem__):
+        if points[i] - anchor >= MERGE_TOL:  # a new group starts at its smallest point
+            anchor = points[i]
+            size += 1
+        group[i] = size - 1
+    return group, size
+
+
+def _scan_groups(space: MetricSpace, points: list) -> tuple[list[int], int]:
+    """Group of each point: the first kept point within ``MERGE_TOL``, numbered as kept in input order."""
+    kept: list = []
+    group = []
+    for p in points:
+        hit = next((g for g, q in enumerate(kept) if space.distance(p, q) < MERGE_TOL), None)
+        if hit is None:
+            hit = len(kept)
+            kept.append(p)
+        group.append(hit)
+    return group, len(kept)
 
 
 def distribution_from_dict(data: dict) -> DiscreteDistribution:

@@ -61,6 +61,8 @@ MALFORMED_CONFIGS = [
     ({"kind": "rep_sweep", "params": {"k_grid": [4.5, 16]}}, "k_grid"),
     ({"kind": "pb_lower", "params": {"z": [1.5, -1]}}, "z"),
     ({"kind": "pb_core", "params": {"eps": 10**400}}, "eps"),
+    ({"kind": "facility_star", "params": {"k_max": 11}}, "k_max"),
+    ({"kind": "multifacility_impossible", "params": {"k_max": 10, "n": 30}}, "k_max"),
 ]
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,7 @@ from sortition_lab.facility import (
     tail_panel_size,
 )
 from sortition_lab.model import Box, FiniteMetric, Mode, Norm, Panel, Segment
-from sortition_lab.sampling import TrialPlan, block_members
+from sortition_lab.sampling import TrialPlan, block_members, enumerate_panels
 
 LINE = Segment(0.0, 1.0)
 
@@ -357,3 +358,36 @@ class TestCandidateDistances:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+
+def frozen_star_far_probability(k):
+    """Frozen copy of the per-panel loop that the block scoring of star_far_probability replaced."""
+    inst = star_instance(k)
+    cd = CandidateDistances(inst)
+    q_idx = cd.optimum_index()
+    opt = float(cd.social[q_idx])
+    q_star = inst.candidates[q_idx]
+    total = Fraction(0)
+    for panel, prob in enumerate_panels(inst.n, k, Mode.WITHOUT_REPLACEMENT):
+        chosen = inst.candidates[cd.panel_optimum_index(panel.members)]
+        if inst.space.distance(chosen, q_star) >= 2.0 * opt:
+            total += prob
+    return total, opt
+
+
+class TestStarFarProbability:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_block_scoring_matches_per_panel_loop(self, k):
+        p_far, opt = experiments.star_far_probability(k)
+        assert isinstance(p_far, Fraction)
+        assert (p_far, opt) == frozen_star_far_probability(k)
+
+    def test_enumeration_memory_stays_flat(self):
+        # all C(19, 9) = 92,378 panels at once hold 6.7 MB of members alone
+        tracemalloc.start()
+        try:
+            experiments.star_far_probability(9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6

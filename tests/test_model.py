@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import shortest_path_closure
 
 from sortition_lab.model import (
+    MERGE_TOL,
     Box,
     DiscreteDistribution,
     Feature,
@@ -25,9 +27,11 @@ from sortition_lab.model import (
     pairwise,
     panel_counts,
     panel_from_dict,
+    real_feature,
     space_from_dict,
     validate_metric,
 )
+from sortition_lab.representativeness import population_distribution
 
 
 class TestValidateMetric:
@@ -169,6 +173,92 @@ class TestDiscreteDistribution:
     def test_segment_support_sorted(self):
         dist = DiscreteDistribution(Segment(0.0, 1.0), (0.9, 0.1), (0.5, 0.5))
         assert dist.support == (0.1, 0.9)
+
+
+def frozen_scan_merge(points, masses, counts=None):
+    """Frozen copy of the nested support-merge scan, then sort, that the Segment merge replaced."""
+    merged_pts, merged_w, merged_c = [], [], []
+    for idx, p in enumerate(points):
+        for j, q in enumerate(merged_pts):
+            if abs(p - q) < MERGE_TOL:
+                merged_w[j] += masses[idx]
+                if counts is not None:
+                    merged_c[j] += counts[idx]
+                break
+        else:
+            merged_pts.append(p)
+            merged_w.append(masses[idx])
+            if counts is not None:
+                merged_c.append(counts[idx])
+    order = sorted(range(len(merged_pts)), key=merged_pts.__getitem__)
+    counts_out = tuple(merged_c[j] for j in order) if counts is not None else None
+    return tuple(merged_pts[j] for j in order), [merged_w[j] for j in order], counts_out
+
+
+@st.composite
+def chain_free_supports(draw):
+    """Counted line points in clusters 1e-3 apart, each spanning under MERGE_TOL (no chains), shuffled."""
+    centers = draw(st.lists(st.integers(0, 1000), min_size=1, max_size=8, unique=True))
+    entries = draw(
+        st.lists(
+            st.tuples(st.sampled_from(centers), st.integers(-4, 4), st.integers(1, 9)), min_size=1, max_size=30
+        )
+    )
+    entries = draw(st.permutations(entries))
+    points = [c / 1000 + off * 1e-13 for c, off, _ in entries]
+    return points, [count for _, _, count in entries]
+
+
+class TestSegmentMerge:
+    @settings(max_examples=200, deadline=None)
+    @given(chain_free_supports())
+    def test_matches_frozen_scan_without_chains(self, case):
+        points, counts = case
+        space = Segment(0.0, 1.0)
+        exact = DiscreteDistribution.from_counts(space, points, counts)
+        support, masses, merged_counts = frozen_scan_merge(points, [c / sum(counts) for c in counts], counts)
+        assert exact.support == support
+        assert exact.masses.tobytes() == np.asarray(masses).tobytes()
+        assert exact.counts == merged_counts
+        plain = DiscreteDistribution(space, points, [c / sum(counts) for c in counts])
+        assert plain.support == support
+        assert plain.masses.tobytes() == np.asarray(masses).tobytes()
+        assert plain.counts is None
+
+    @pytest.mark.parametrize(
+        "points, scan, anchor",
+        [
+            # 0 and 6e-13 are near, and so are 6e-13 and 1.2e-12, but 0 and 1.2e-12 are not
+            ((6e-13, 0.0, 1.2e-12), ((6e-13,), (7,)), ((6e-13, 1.2e-12), (3, 4))),
+            ((1.2e-12, 6e-13, 0.0), ((0.0, 1.2e-12), (4, 3)), ((6e-13, 1.2e-12), (6, 1))),
+        ],
+    )
+    def test_chain_merges_from_the_smallest_point(self, points, scan, anchor):
+        counts = (1, 2, 4)
+        support, _, merged_counts = frozen_scan_merge(points, [c / 7 for c in counts], counts)
+        assert (support, merged_counts) == scan  # the scan's grouping followed the input order
+        dist = DiscreteDistribution.from_counts(Segment(0.0, 1.0), points, counts)
+        assert (dist.support, dist.counts) == anchor
+
+    def test_chain_grouping_ignores_input_order(self):
+        count = {0.0: 2, 6e-13: 1, 1.2e-12: 4}
+        for points in itertools.permutations(count):
+            dist = DiscreteDistribution.from_counts(Segment(0.0, 1.0), points, [count[p] for p in points])
+            assert dist.counts == (3, 4)
+            assert dist.support == (next(p for p in points if p < 1e-12), 1.2e-12)  # the group's first point
+
+    def test_population_merge_makes_no_distance_calls(self, monkeypatch):
+        calls = []
+        distance = Segment.distance
+        monkeypatch.setattr(Segment, "distance", lambda self, x, y: calls.append((x, y)) or distance(self, x, y))
+        population_distribution(real_feature(np.random.default_rng(0).random(5000)))
+        assert calls == []
+
+    def test_population_of_twenty_thousand_keeps_every_point(self):
+        values = np.random.default_rng(1).random(20000)
+        dist = population_distribution(real_feature(values))
+        assert len(dist.support) == 20000
+        assert dist.support == tuple(sorted(values.tolist()))
 
 
 class TestPanel:

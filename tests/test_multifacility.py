@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import math
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sortition_lab import experiments
 from sortition_lab.experiments import SITE_CANDIDATES
 from sortition_lab.facility import FacilityInstance, panel_optimum
-from sortition_lab.model import Panel, Segment, pairwise
+from sortition_lab.model import Mode, Panel, Segment, pairwise
 from sortition_lab.multifacility import (
     MultiFacilityInstance,
     _LineSets,
@@ -20,6 +22,7 @@ from sortition_lab.multifacility import (
     panel_bound_check,
     panel_facilities,
 )
+from sortition_lab.sampling import enumerate_panels
 
 LINE = Segment(0.0, 1.0)
 
@@ -314,3 +317,14 @@ class TestImpossibility:
                     assert multi_cost(inst_b, chosen) > 0.0
                     positive = True
             assert positive
+
+    @pytest.mark.parametrize("k_max, n", [(6, 10), (8, 14)])
+    def test_expected_cost_matches_per_panel_loop(self, k_max, n):
+        _, inst_b = impossibility_instance(n)
+        for k in range(1, k_max + 1):
+            # frozen copy of the per-panel loop that the tally by agent positions replaced
+            expected = Fraction(0)
+            for panel, prob in enumerate_panels(n, k, Mode.WITHOUT_REPLACEMENT):
+                _, chosen = panel_facilities(inst_b, panel)
+                expected += prob * Fraction(multi_cost(inst_b, chosen))
+            assert experiments.expected_panel_cost(inst_b, k) == expected
