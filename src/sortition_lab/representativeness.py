@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 import numpy as np
 
 from .model import DiscreteDistribution, Feature, Mode, Panel, Segment, panel_counts
-from .sampling import TrialPlan, _weighted_panels, derived_seed, monte_carlo
-from .transport import wasserstein
+from .sampling import TrialPlan, derived_seed, monte_carlo
+from .transport import _cdf_gap_integral, wasserstein
 
 #: Slack for representativeness decisions and mean-gap comparisons.
 DECISION_TOL = 1e-12
@@ -173,14 +175,26 @@ def min_k_sweep(
 
 
 def expected_w_exact(feature: Feature, k: int, mode: Mode) -> float:
-    """Exact E[W(population, panel)] by full enumeration (small n only).
+    """Exact E[W(population, panel)] over uniform size-k panels, correctly rounded.
 
-    Probabilities are exact in float (all intermediate integers stay below
-    2^53 for the supported sizes), and panels are evaluated in one
-    vectorized pass.
+    W is the CDF-gap sum over the distinct values u_j, so by linearity
+    E[W] = sum_j gap_j * sum_t P(T_j = t) * |t/k - c_j/n|, where c_j agents
+    lie at or below u_j and T_j panel members do: T_j is hypergeometric
+    without replacement and binomial with replacement. Every term is an
+    integer over the common denominator n * k * (number of equally likely
+    draws), so the sum is exact and O(distinct values * k).
     """
     n = feature.n
-    panels, weights = zip(*_weighted_panels(n, k, mode))
-    denom = float(comb(n, k)) if mode is Mode.WITHOUT_REPLACEMENT else float(n) ** k
-    probs = np.asarray(weights, dtype=float) / denom
-    return float(probs @ PanelWasserstein(feature).batch(np.array(panels, dtype=np.int64)))
+    if k < 1:
+        raise ValueError(f"k={k} must be at least 1")
+    if mode is Mode.WITHOUT_REPLACEMENT:
+        if k > n:
+            raise ValueError(f"k={k} exceeds n={n} without replacement")
+        draws = comb(n, k)
+        weight = lambda c, t: comb(c, t) * comb(n - c, k - t)
+    else:
+        draws = n**k
+        weight = lambda c, t: comb(k, t) * c**t * (n - c) ** (k - t)
+    grid, counts = zip(*sorted(Counter(feature.as_array().tolist()).items()))
+    heights = (sum(weight(c, t) * abs(t * n - c * k) for t in range(k + 1)) for c in accumulate(counts))
+    return float(_cdf_gap_integral(grid, heights, n * k * draws))

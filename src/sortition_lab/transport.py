@@ -9,8 +9,11 @@ functions are pure and reentrant.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -79,22 +82,39 @@ def wasserstein_1d(phi: DiscreteDistribution, psi: DiscreteDistribution) -> floa
 
 
 def _w1_exact(phi: DiscreteDistribution, psi: DiscreteDistribution) -> Fraction:
-    grid = sorted(set(phi.support) | set(psi.support))
-    pos_a = {x: i for i, x in enumerate(phi.support)}
-    pos_b = {x: i for i, x in enumerate(psi.support)}
-    total = Fraction(0)
-    cum_a = 0
-    cum_b = 0
-    for idx in range(len(grid) - 1):
-        x = grid[idx]
-        if x in pos_a:
-            cum_a += phi.counts[pos_a[x]]
-        if x in pos_b:
-            cum_b += psi.counts[pos_b[x]]
-        gap = abs(Fraction(cum_a, phi.denom) - Fraction(cum_b, psi.denom))
-        if gap:
-            total += gap * (Fraction(grid[idx + 1]) - Fraction(x))
-    return total
+    """Exact W1 of two count-based distributions on a segment.
+
+    The CDF gap |cum_a/Da - cum_b/Db| is |cum_a*Db - cum_b*Da| / (Da*Db), so
+    the running gap below each grid point is an integer.
+    """
+    da, db = phi.denom, psi.denom
+    step: dict = {}
+    for x, c in zip(phi.support, phi.counts):
+        step[x] = step.get(x, 0) + c * db
+    for x, c in zip(psi.support, psi.counts):
+        step[x] = step.get(x, 0) - c * da
+    grid = sorted(step)
+    return _cdf_gap_integral(grid, map(abs, accumulate(step[x] for x in grid)), da * db)
+
+
+def _cdf_gap_integral(grid: Sequence, heights: Iterable[int], denom: int) -> Fraction:
+    """Exact sum of heights[i] * (grid[i+1] - grid[i]) / denom.
+
+    ``grid`` is sorted and ``heights`` yields integers, one per interval.
+    Each point is scaled to an integer over the lcm of the points'
+    ``as_integer_ratio`` denominators (for floats, a power of two), so the
+    sum runs on Python ints and one Fraction is built at the end.
+    """
+    scale = reduce(math.lcm, (x.as_integer_ratio()[1] for x in grid), 1)
+    num, den = grid[0].as_integer_ratio()
+    left = num * (scale // den)
+    total = 0
+    for x, height in zip(islice(grid, 1, None), heights):
+        num, den = x.as_integer_ratio()
+        right = num * (scale // den)
+        total += height * (right - left)
+        left = right
+    return Fraction(total, denom * scale)
 
 
 def _cdf_on_grid(support: np.ndarray, masses: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -122,7 +142,7 @@ def wasserstein_flow(
     total_b = sum(demand)
     # Cross-scale so both sides move the same integral amount of mass.
     if total_a != total_b:
-        lcm = _lcm(total_a, total_b)
+        lcm = math.lcm(total_a, total_b)
         supply = [s * (lcm // total_a) for s in supply]
         demand = [d * (lcm // total_b) for d in demand]
         if not rational and lcm > SCALING_CAP:
@@ -160,16 +180,12 @@ def _integer_masses(dist: DiscreteDistribution, rational: bool):
                 )
     denom = 1
     for frac in fractions:
-        denom = _lcm(denom, frac.denominator)
+        denom = math.lcm(denom, frac.denominator)
         if denom > SCALING_CAP and not rational:
             raise MassScalingError(
                 "common denominator exceeds the integer scaling cap; pass rational=True"
             )
     return [int(f * denom) for f in fractions]
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
 
 
 def _transport_ssp(supply, demand, cost: np.ndarray) -> dict[tuple[int, int], object]:
@@ -178,9 +194,19 @@ def _transport_ssp(supply, demand, cost: np.ndarray) -> dict[tuple[int, int], ob
     Supplies and demands are exact (ints or Fractions). Path search is
     Bellman-Ford on the residual bipartite graph, which handles the negative
     reduced costs of backward arcs; each augmentation moves the full path
-    bottleneck. Deterministic iteration order fixes the returned coupling.
+    bottleneck. Ties are broken deterministically, which fixes the returned
+    coupling: a sink's predecessor is the first source index among equal
+    column minima, backward arcs are relaxed in flow-insertion order, a
+    label only moves on a gain above 1e-15, and the target is the first live
+    sink of least distance.
+
+    Forward relaxations keep each sink's column minimum
+    min_i(dist_a[i] + cost[i][j]) and its first index, updated only from the
+    sources whose label fell in the last backward pass; labels only fall
+    within one search, so the minimum stays exact.
     """
     ns, nt = cost.shape
+    cost = cost.tolist()
     remaining_a = list(supply)
     remaining_b = list(demand)
     flow: dict[tuple[int, int], object] = {}
@@ -190,32 +216,39 @@ def _transport_ssp(supply, demand, cost: np.ndarray) -> dict[tuple[int, int], ob
         guard += 1
         if guard > max_iters:
             raise RuntimeError("transport solver failed to converge")
-        # dist_a[i], dist_b[j]: shortest residual path cost from any live source;
-        # forward relaxations run vectorized, backward ones over the live arcs
-        dist_a = np.where([a > 0 for a in remaining_a], 0.0, math.inf)
-        dist_b = np.full(nt, math.inf)
-        pred_b = np.full(nt, -1)  # source feeding j on the best path
-        pred_a = np.full(ns, -1)  # sink feeding i via a backward arc
+        # dist_a[i], dist_b[j]: shortest residual path cost from any live source
+        dist_a = [0.0 if a > 0 else math.inf for a in remaining_a]
+        fresh = [i for i in range(ns) if remaining_a[i] > 0]  # labels not yet relaxed forward
+        dist_b = [math.inf] * nt
+        pred_b = [-1] * nt  # source feeding j on the best path
+        pred_a = [-1] * ns  # sink feeding i via a backward arc
+        col_min = [math.inf] * nt
+        col_arg = [0] * nt
         for _ in range(ns + nt):
-            candidates = dist_a[:, None] + cost
-            best = candidates.min(axis=0)
-            improved = best < dist_b - 1e-15
-            changed = bool(improved.any())
-            if changed:
-                dist_b[improved] = best[improved]
-                pred_b[improved] = candidates.argmin(axis=0)[improved]
+            for i in fresh:
+                d, row = dist_a[i], cost[i]
+                for j in range(nt):
+                    v = d + row[j]
+                    if v < col_min[j] or (v == col_min[j] and i < col_arg[j]):
+                        col_min[j] = v
+                        col_arg[j] = i
+            for j in range(nt):
+                if col_min[j] < dist_b[j] - 1e-15:
+                    dist_b[j] = col_min[j]
+                    pred_b[j] = col_arg[j]
+            fresh = set()
             for (i, j) in flow:
-                nd = dist_b[j] - cost[i, j]
+                nd = dist_b[j] - cost[i][j]
                 if nd < dist_a[i] - 1e-15:
                     dist_a[i] = nd
                     pred_a[i] = j
-                    changed = True
-            if not changed:
-                break
+                    fresh.add(i)
+            if not fresh:
+                break  # the next round could move no label
         live = [j for j in range(nt) if remaining_b[j] > 0]
-        if not live or not np.isfinite(dist_b[live]).any():
+        if not any(math.isfinite(dist_b[j]) for j in live):
             raise RuntimeError("transport solver found no augmenting path")
-        target = min(live, key=lambda j: dist_b[j])
+        target = min(live, key=dist_b.__getitem__)
 
         # Walk the path backwards to find the bottleneck, then push it.
         path: list[tuple[int, int, bool]] = []  # (i, j, forward)

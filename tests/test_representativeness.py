@@ -1,6 +1,9 @@
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sortition_lab.model import Mode, Panel, real_feature
@@ -14,7 +17,7 @@ from sortition_lab.representativeness import (
     panel_distribution,
     population_distribution,
 )
-from sortition_lab.sampling import TrialPlan, block_members
+from sortition_lab.sampling import TrialPlan, _weighted_panels, block_members
 from sortition_lab.transport import wasserstein_1d
 
 FEATURE = real_feature((0.0, 0.5, 0.5, 0.5, 1.0))
@@ -114,6 +117,45 @@ class TestPanelWasserstein:
         members = block_members(plan, data.draw(st.integers(0, (plan.trials - 1) // 64)))
         for row, value in zip(members.tolist(), stat.batch(members)):
             assert value == pytest.approx(stat(Panel(n, tuple(row), mode)), abs=1e-12)
+
+
+def enumerated_expected_w(feature, k: int, mode: Mode) -> Fraction:
+    """E[W] over every panel with its draw count, all in Fractions: the closed form's oracle."""
+    grid = sorted(set(feature.values))
+    pop_cdf = [Fraction(sum(v <= u for v in feature.values), feature.n) for u in grid]
+    total = Fraction(0)
+    draws = 0
+    for members, weight in _weighted_panels(feature.n, k, mode):
+        w = Fraction(0)
+        for j in range(len(grid) - 1):
+            panel_cdf = Fraction(sum(feature.values[i] <= grid[j] for i in members), k)
+            w += abs(panel_cdf - pop_cdf[j]) * (Fraction(grid[j + 1]) - Fraction(grid[j]))
+        total += weight * w
+        draws += weight
+    return total / draws
+
+
+class TestExpectedClosedForm:
+    @given(data=st.data())
+    @settings(max_examples=80)
+    def test_matches_fraction_enumeration(self, data):
+        n = data.draw(st.integers(1, 10))
+        mode = data.draw(st.sampled_from(list(Mode)))
+        k = data.draw(st.integers(1, n))
+        assume(comb(n + k - 1, k) <= 2000)
+        # eighths make repeated values common; a float draw makes gaps generic
+        values = data.draw(
+            st.one_of(
+                st.lists(st.integers(0, 8).map(lambda v: v / 8), min_size=n, max_size=n),
+                st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+            )
+        )
+        feature = real_feature(values)
+        assert expected_w_exact(feature, k, mode) == float(enumerated_expected_w(feature, k, mode))
+
+    def test_rejects_empty_panel(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            expected_w_exact(FEATURE, 0, Mode.WITH_REPLACEMENT)
 
 
 class TestExpectedOrdering:

@@ -1,7 +1,14 @@
+import math
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
 from conftest import shortest_path_closure
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sortition_lab import transport
 from sortition_lab.model import (
     Box,
     DiscreteDistribution,
@@ -12,6 +19,7 @@ from sortition_lab.model import (
 from sortition_lab.transport import (
     MassScalingError,
     SpaceMismatchError,
+    _w1_exact,
     convexity_check,
     mixture,
     wasserstein_1d,
@@ -238,3 +246,188 @@ class TestConvexity:
         mixed = mixture(psi1, psi2, 0.5)
         assert mixed.support == (0.0, 0.5, 1.0)
         np.testing.assert_allclose(mixed.masses, [0.25, 0.5, 0.25])
+
+
+def frozen_w1_exact(phi: DiscreteDistribution, psi: DiscreteDistribution) -> Fraction:
+    """The per-step Fraction loop that ``_w1_exact`` replaced, kept as its oracle."""
+    grid = sorted(set(phi.support) | set(psi.support))
+    pos_a = {x: i for i, x in enumerate(phi.support)}
+    pos_b = {x: i for i, x in enumerate(psi.support)}
+    total = Fraction(0)
+    cum_a = 0
+    cum_b = 0
+    for idx in range(len(grid) - 1):
+        x = grid[idx]
+        if x in pos_a:
+            cum_a += phi.counts[pos_a[x]]
+        if x in pos_b:
+            cum_b += psi.counts[pos_b[x]]
+        gap = abs(Fraction(cum_a, phi.denom) - Fraction(cum_b, psi.denom))
+        if gap:
+            total += gap * (Fraction(grid[idx + 1]) - Fraction(x))
+    return total
+
+
+def frozen_transport_ssp(supply, demand, cost: np.ndarray) -> dict:
+    """The numpy Bellman-Ford solver that ``_transport_ssp`` replaced, kept as its oracle."""
+    ns, nt = cost.shape
+    remaining_a = list(supply)
+    remaining_b = list(demand)
+    flow: dict = {}
+    guard = 0
+    max_iters = 4 * (ns + nt) * (ns + nt) + 16
+    while any(a > 0 for a in remaining_a):
+        guard += 1
+        if guard > max_iters:
+            raise RuntimeError("transport solver failed to converge")
+        dist_a = np.where([a > 0 for a in remaining_a], 0.0, math.inf)
+        dist_b = np.full(nt, math.inf)
+        pred_b = np.full(nt, -1)
+        pred_a = np.full(ns, -1)
+        for _ in range(ns + nt):
+            candidates = dist_a[:, None] + cost
+            best = candidates.min(axis=0)
+            improved = best < dist_b - 1e-15
+            changed = bool(improved.any())
+            if changed:
+                dist_b[improved] = best[improved]
+                pred_b[improved] = candidates.argmin(axis=0)[improved]
+            for (i, j) in flow:
+                nd = dist_b[j] - cost[i, j]
+                if nd < dist_a[i] - 1e-15:
+                    dist_a[i] = nd
+                    pred_a[i] = j
+                    changed = True
+            if not changed:
+                break
+        live = [j for j in range(nt) if remaining_b[j] > 0]
+        if not live or not np.isfinite(dist_b[live]).any():
+            raise RuntimeError("transport solver found no augmenting path")
+        target = min(live, key=lambda j: dist_b[j])
+        path = []
+        j = target
+        seen = 0
+        while True:
+            seen += 1
+            if seen > 2 * (ns + nt) + 4:
+                raise RuntimeError("transport solver path reconstruction cycled")
+            i = pred_b[j]
+            path.append((i, j, True))
+            if pred_a[i] < 0:
+                break
+            j = pred_a[i]
+            path.append((i, j, False))
+        source = path[-1][0]
+        bottleneck = min(remaining_a[source], remaining_b[target])
+        for i, j, forward in path:
+            if not forward:
+                bottleneck = min(bottleneck, flow[(i, j)])
+        for i, j, forward in path:
+            if forward:
+                flow[(i, j)] = flow.get((i, j), 0) + bottleneck
+            else:
+                flow[(i, j)] -= bottleneck
+                if flow[(i, j)] == 0:
+                    del flow[(i, j)]
+        remaining_a[source] -= bottleneck
+        remaining_b[target] -= bottleneck
+    return flow
+
+
+def assert_same_flow(phi, psi, rational=False):
+    value, coupling = wasserstein_flow(phi, psi, rational)
+    with mock.patch.object(transport, "_transport_ssp", frozen_transport_ssp):
+        frozen_value, frozen_coupling = wasserstein_flow(phi, psi, rational)
+    assert np.float64(value).tobytes() == np.float64(frozen_value).tobytes()
+    assert coupling.gamma.tobytes() == frozen_coupling.gamma.tobytes()
+
+
+# eighths make equal costs, equal column minima and degenerate flows common
+EIGHTHS = st.integers(0, 8).map(lambda v: v / 8)
+
+
+@st.composite
+def counted(draw, space, points, max_size=8):
+    support = draw(st.lists(points, min_size=1, max_size=max_size))
+    counts = draw(st.lists(st.integers(1, 6), min_size=len(support), max_size=len(support)))
+    return DiscreteDistribution.from_counts(space, support, counts)
+
+
+class TestSolverMatchesFrozenCopy:
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_eighths_segment(self, data):
+        assert_same_flow(data.draw(counted(LINE, EIGHTHS, 12)), data.draw(counted(LINE, EIGHTHS, 12)))
+
+    @given(data=st.data(), norm=st.sampled_from([Norm.L1, Norm.LINF]))
+    @settings(max_examples=100)
+    def test_box(self, data, norm):
+        space = Box(2, norm)
+        points = st.tuples(EIGHTHS, EIGHTHS)
+        assert_same_flow(data.draw(counted(space, points)), data.draw(counted(space, points)))
+
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_finite_metric(self, data):
+        n = data.draw(st.integers(2, 7))
+        raw = data.draw(st.lists(st.integers(1, 4), min_size=n * n, max_size=n * n))
+        space = FiniteMetric(shortest_path_closure(np.reshape(raw, (n, n)) / 4))
+        points = st.integers(0, n - 1)
+        assert_same_flow(data.draw(counted(space, points)), data.draw(counted(space, points)))
+
+    @given(data=st.data(), t=st.floats(0.05, 0.95))
+    @settings(max_examples=100)
+    def test_rational_mixture(self, data, t):
+        phi = data.draw(counted(LINE, EIGHTHS))
+        mixed = mixture(data.draw(counted(LINE, EIGHTHS)), data.draw(counted(LINE, EIGHTHS)), t)
+        assert_same_flow(phi, mixed, rational=True)
+
+    def test_random_float_segments(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            na, nb = rng.integers(1, 21, 2)
+            assert_same_flow(
+                DiscreteDistribution.from_counts(LINE, rng.random(na), rng.integers(1, 10, na)),
+                DiscreteDistribution.from_counts(LINE, rng.random(nb), rng.integers(1, 10, nb)),
+            )
+
+
+class TestW1MatchesFrozenCopy:
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_eighths_grids(self, data):
+        a = data.draw(counted(LINE, EIGHTHS, 12))
+        b = data.draw(counted(LINE, EIGHTHS, 12))
+        assert _w1_exact(a, b) == frozen_w1_exact(a, b)
+
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_repeated_support(self, data):
+        a = data.draw(counted(LINE, st.floats(0.0, 1.0)))
+        b = DiscreteDistribution.from_counts(
+            LINE, a.support, data.draw(st.lists(st.integers(1, 6), min_size=len(a.support), max_size=len(a.support)))
+        )
+        assert _w1_exact(a, b) == frozen_w1_exact(a, b)
+        assert _w1_exact(a, a) == frozen_w1_exact(a, a) == 0
+
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_disjoint_integer_supports(self, data):
+        space = Segment(0.0, 20.0)
+        a = data.draw(counted(space, st.integers(0, 9)))
+        b = data.draw(counted(space, st.integers(10, 20)))
+        assert _w1_exact(a, b) == frozen_w1_exact(a, b)
+
+    @given(x=st.floats(0.0, 1.0), y=st.floats(0.0, 1.0), ca=st.integers(1, 9), cb=st.integers(1, 9))
+    def test_single_points(self, x, y, ca, cb):
+        a = DiscreteDistribution.from_counts(LINE, (x,), (ca,))
+        b = DiscreteDistribution.from_counts(LINE, (y,), (cb,))
+        assert _w1_exact(a, b) == frozen_w1_exact(a, b)
+
+    def test_random_float_supports(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            na, nb = rng.integers(1, 30, 2)
+            a = DiscreteDistribution.from_counts(LINE, rng.random(na), rng.integers(1, 10, na))
+            b = DiscreteDistribution.from_counts(LINE, rng.random(nb), rng.integers(1, 10, nb))
+            assert _w1_exact(a, b) == frozen_w1_exact(a, b)
