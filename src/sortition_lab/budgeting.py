@@ -23,8 +23,12 @@ COVER_CAP = 10**7
 
 FEAS_TOL = 1e-12
 
-#: Cover allocations per step of CoreLab.blocked_mask; bounds its working memory.
+#: Cover allocations per step of CoreLab.blocked_mask's scan, the path for
+#: three or more nonzero groups; bounds its working memory.
 SCAN_ROWS = 32
+
+#: Cap of CoreLab.need: an int32 coalition count reaches it only with 2**31 - 1 agents.
+NEED_CAP = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -337,9 +341,11 @@ class CoreLab:
 
     Agents with identical cost rows form one group, numbered in order of
     first appearance, so a panel enters a check only through its group
-    counts. ``blocked_mask`` walks the cover ``SCAN_ROWS`` allocations at a
-    time and adds up the panel's nonzero groups, so its working memory stays
-    a few MB at any cover size.
+    counts. ``blocked_mask`` picks its path from the counts: with at most
+    two nonzero groups a blocking coalition is one group or both, and one
+    sort answers every allocation in O(N log N); with three or more it walks
+    the cover ``SCAN_ROWS`` allocations at a time, so its working memory
+    stays a few MB at any cover size.
 
     Both blocking tests are exact in rationals of the binary floats, as
     ``exact_witness_valid`` re-checks them: the coalition sizes come from
@@ -357,7 +363,12 @@ class CoreLab:
         self.reps = np.unique(self.group, return_index=True)[1]  # first agent of each group
         self.rows = matrix[self.reps]
         self.pop_counts = panel_counts(self.group, self.rows.shape[0])
-        self.shares = [sum(map(Fraction, row)) / Fraction(inst.B) for row in self.cover.tolist()]  # exact
+        # each row's sum, exact, as an integer over one power-of-two denominator
+        values = np.unique(self.cover).tolist()
+        ratios = [v.as_integer_ratio() for v in values]
+        self._denom = math.lcm(*(den for _, den in ratios))
+        scaled = {v: num * (self._denom // den) for v, (num, den) in zip(values, ratios)}
+        self._sums = [sum(map(scaled.__getitem__, row)) for row in self.cover.tolist()]
         self._needs: dict[tuple[int, float], np.ndarray] = {}
 
     @property
@@ -369,11 +380,17 @@ class CoreLab:
 
     def need(self, size: int, eta: float) -> np.ndarray:
         """Smallest coalition that can block by moving to each cover allocation:
-        max(1, ceil((share + eta) * size)) for its exact budget share. In
-        floats the share can round onto an integer that the exact one exceeds."""
+        max(1, ceil((share + eta) * size)) for its exact budget share, capped
+        at ``NEED_CAP``. In floats the share can round onto an integer that
+        the exact one exceeds, so the ceiling is taken in integers over one
+        common denominator."""
         if (size, eta) not in self._needs:
-            slack = Fraction(eta)
-            need = [max(1, math.ceil((share + slack) * size)) for share in self.shares]
+            b_num, b_den = Fraction(self.inst.B).as_integer_ratio()
+            e_num, e_den = Fraction(eta).as_integer_ratio()
+            # (sum / (denom * B) + eta) * size = (sum * b_den * e_den + slack) * size / den
+            den = self._denom * b_num * e_den
+            slack = e_num * self._denom * b_num
+            need = [min(max(1, -(-(s * b_den * e_den + slack) * size // den)), NEED_CAP) for s in self._sums]
             self._needs[size, eta] = np.array(need, dtype=np.int32)  # compared with int32 counts
         return self._needs[size, eta]
 
@@ -427,11 +444,17 @@ class CoreLab:
         blocking coalition must be nonempty; the share test alone would let
         the empty set block via the all-zero allocation at eta = 0. For an
         integer T the two tests are T[a, b] >= ``need(size, eta)[b]``.
+
+        With at most two nonzero groups, ``_dominance_mask`` answers this
+        without T; three or more groups take the chunked scan of T, the only
+        path that handles them. Both compare the same ``order`` ranks.
         """
         cost, better = self.order(rho, tau)
         need = self.need(size, eta)
         groups = np.flatnonzero(counts)
         weights = np.asarray(counts)[groups].astype(np.int32)
+        if groups.size <= 2:
+            return _dominance_mask(cost[groups], better[groups], weights, need)
         better = better[groups]  # (g, N): margin-adjusted cost at each b
         mask = np.empty(self.n_alloc, dtype=bool)
         for lo in range(0, self.n_alloc, SCAN_ROWS):
@@ -459,6 +482,32 @@ class CoreLab:
         pool = range(self.inst.n) if members is None else members
         coalition = tuple(i for i in pool if improves[self.group[i], b])
         return CoreWitness(alt, coalition, len(coalition) / size)
+
+
+def _dominance_mask(cost: np.ndarray, better: np.ndarray, weights: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """``CoreLab.blocked_mask`` for at most two groups, without the (N, N) table.
+
+    A coalition is one group g, which can claim b when ``need[b] <= w_g``, or
+    both groups, when ``need[b] <= w_0 + w_1``. One group blocks a iff the
+    least ``better[g]`` over its claimable b is below ``cost[g, a]``. Both
+    block a iff some claimable b beats a for each group: among the b sorted
+    by ``better[0]``, the prefix below ``cost[0, a]`` (searchsorted, side
+    left, so strictly below) holds a ``better[1]`` below ``cost[1, a]``
+    (Bentley's two-dimensional dominance sweep, CACM 1980).
+    """
+    mask = np.zeros(need.shape, dtype=bool)
+    for g, weight in enumerate(weights):
+        claimable = need <= weight
+        if claimable.any():
+            mask |= better[g, claimable].min() < cost[g]
+    claimable = need <= int(weights.sum())
+    if len(weights) == 2 and claimable.any():
+        first, second = better[:, claimable]
+        order = np.argsort(first, kind="stable")
+        least_second = np.minimum.accumulate(second[order])
+        below = np.searchsorted(first[order], cost[0], side="left")  # how many b have first < cost[0, a]
+        mask |= (below > 0) & (least_second[below - 1] < cost[1])
+    return mask
 
 
 def _cost_of(inst: PBInstance, agent: int, x: np.ndarray) -> float:

@@ -636,6 +636,8 @@ def _validate_multifacility_impossible(params: dict, trials: int):
 
 def _validate_pb_core(params: dict, trials: int):
     _require_above(params, "step", 0.0)
+    if params["eps"] < 0.0:
+        raise ValueError(f"eps={params['eps']} must be at least 0")
     _validate_k_grid_fits("k", [params["k"]], params["n"])
     if params["n"] % 2:
         raise ValueError(f"n={params['n']} must be even to split into two equal blocks")

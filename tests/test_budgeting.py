@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import math
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -7,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import plan_blocks
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sortition_lab import budgeting
@@ -251,10 +252,12 @@ EIGHTHS = st.integers(0, 8).map(lambda i: i / 8)
 @st.composite
 def grouped_core_cases(draw):
     """A grouped instance of linear and shortfall costs, its cover, and group
-    counts on a 1/8 grid."""
+    counts on a 1/8 grid: at most two nonzero groups (blocked_mask's sweep)
+    or three or more (its scan), drawn evenly."""
+    wide = draw(st.booleans())
     m = draw(st.sampled_from([2, 3]))
     costs = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(3, 5) if wide else st.integers(1, 4))):
         if draw(st.booleans()):
             alpha = draw(st.lists(EIGHTHS, min_size=m, max_size=m))
             scale = max(1.0, sum(alpha))
@@ -267,10 +270,15 @@ def grouped_core_cases(draw):
     steps = [0.5, 0.25, 0.125] if m == 2 else [0.5, 0.25]
     lab = CoreLab(inst, simplex_cover(m, inst.B, draw(st.sampled_from(steps))))
     u = lab.rows.shape[0]
-    if draw(st.booleans()):
+    assume(u >= 3 or not wide)  # distinct models can still share a cost row
+    if (u >= 3) == wide and draw(st.booleans()):
         counts, size = lab.pop_counts, inst.n
     else:
         counts = np.asarray(draw(st.lists(st.integers(0, 4), min_size=u, max_size=u)), dtype=np.int64)
+        if wide:
+            counts[:3] = np.maximum(counts[:3], 1)
+        else:
+            counts[np.flatnonzero(counts)[2:]] = 0
         size = max(1, int(counts.sum()))
     eta, tau = draw(EIGHTHS.map(lambda v: v / 2)), draw(EIGHTHS.map(lambda v: v / 2))
     rho = draw(st.sampled_from([1.0, 1.5, 2.0]))
@@ -282,6 +290,24 @@ def population_case(costs, budget, step, eta, tau, rho):
     inst = PBInstance(3, budget, costs)
     lab = CoreLab(inst, simplex_cover(3, budget, step))
     return lab, lab.pop_counts, inst.n, eta, tau, rho
+
+
+def scan_blocked_mask(lab, counts, size, eta, tau, rho):
+    """Frozen copy of the chunked scan of T that blocked_mask ran for every
+    count vector before its two-group sweep."""
+    cost, better = lab.order(rho, tau)
+    need = lab.need(size, eta)
+    groups = np.flatnonzero(counts)
+    weights = np.asarray(counts)[groups].astype(np.int32)
+    better = better[groups]
+    mask = np.empty(lab.n_alloc, dtype=bool)
+    for lo in range(0, lab.n_alloc, budgeting.SCAN_ROWS):
+        current = cost[groups, lo : lo + budgeting.SCAN_ROWS, None]
+        T = np.zeros((current.shape[1], lab.n_alloc), dtype=np.int32)
+        for weight, b_cost, a_cost in zip(weights, better, current):
+            T += weight * (b_cost < a_cost)
+        mask[lo : lo + budgeting.SCAN_ROWS] = (T >= need).any(axis=1)
+    return mask
 
 
 class TestBlockedMask:
@@ -297,17 +323,65 @@ class TestBlockedMask:
         assert np.array_equal(lab.blocked_mask(counts, size, eta, tau, rho), expected)
 
     def test_two_masks_stay_small_at_fine_step(self):
-        # 3,321 cover points: a (groups, N, N) int64 table would take 176 MB
-        inst = two_block_instance(200)
-        lab = CoreLab(inst, simplex_cover(2, 1.0, 0.0125))
+        # 3,321 cover points: a (groups, N, N) int64 table would take 176 MB;
+        # the three-block masks take the chunked scan, the two-block ones the sweep
+        blocks = (LinearCost((1.0, 0.0)), LinearCost((0.0, 1.0)), SaturatingShortfallCost(1.0))
+        three = PBInstance(2, 1.0, tuple(model for model in blocks for _ in range(67)))
+        labs = [CoreLab(inst, simplex_cover(2, 1.0, 0.0125)) for inst in (two_block_instance(200), three)]
+        assert [lab.rows.shape[0] for lab in labs] == [2, 3]
         tracemalloc.start()
         try:
-            lab.blocked_mask(lab.pop_counts, inst.n, 0.25, 0.25, 1.0)
-            lab.blocked_mask(np.array([30, 34]), 64, 0.0, 0.0, 1.0)
+            for lab, panel in zip(labs, (np.array([30, 34]), np.array([20, 24, 20]))):
+                lab.blocked_mask(lab.pop_counts, lab.inst.n, 0.25, 0.25, 1.0)
+                lab.blocked_mask(panel, 64, 0.0, 0.0, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+    def test_sweep_matches_scan_on_fine_two_block_cover(self):
+        # every count vector pb_core's workload config can meet at k = 64
+        inst = two_block_instance(200)
+        lab = CoreLab(inst, simplex_cover(2, 1.0, 0.0125))
+        cases = [(lab.pop_counts, inst.n, 0.25, 0.25)]
+        cases += [(np.array([c, 64 - c]), 64, 0.0, 0.0) for c in range(65)]
+        for counts, size, eta, tau in cases:
+            expected = scan_blocked_mask(lab, counts, size, eta, tau, 1.0)
+            assert np.array_equal(lab.blocked_mask(counts, size, eta, tau, 1.0), expected), counts
+
+
+def fraction_need(lab, size, eta):
+    """The Fraction formula CoreLab.need replaced: exact budget shares,
+    max(1, ceil((share + eta) * size)), capped at NEED_CAP."""
+    budget, slack = Fraction(lab.inst.B), Fraction(eta)
+    shares = [sum(map(Fraction, row)) / budget for row in lab.cover.tolist()]
+    return np.array([min(max(1, math.ceil((share + slack) * size)), budgeting.NEED_CAP) for share in shares])
+
+
+class TestNeed:
+    @settings(max_examples=100)
+    @given(
+        st.sampled_from([2, 3]),
+        st.sampled_from([0.3, 0.5, 1.0, 1.5, 2.0]),
+        st.one_of(st.sampled_from([1 / 3, 0.07, 0.125, 0.5]), st.floats(0.1, 1.0)),
+        st.one_of(st.sampled_from([0.0, 1 / 3, 0.35, 0.05, 0.25]), st.floats(-1.0, 2.0)),
+        st.integers(1, 300),
+    )
+    # share 0.45 + eps 0.05 rounds to 1/2 in floats; the exact sum exceeds it
+    @example(2, 1.0, 0.025, 0.05, 200)
+    def test_matches_fraction_formula(self, m, budget, step, eta, size):
+        lab = CoreLab(PBInstance(m, budget, (SaturatingShortfallCost(0.0),)), simplex_cover(m, budget, step))
+        need = lab.need(size, eta)
+        assert need.dtype == np.int32
+        assert np.array_equal(need, fraction_need(lab, size, eta))
+
+    def test_saturates_where_int32_ends(self):
+        # eta = 1e12 asks for coalitions of 2e14 agents, past any int32 count
+        lab = CoreLab(two_block_instance(200), simplex_cover(2, 1.0, 0.05))
+        need = lab.need(200, 1e12)
+        assert need.dtype == np.int32 and (need == budgeting.NEED_CAP).all()
+        assert np.array_equal(need, fraction_need(lab, 200, 1e12))
+        assert not lab.blocked_mask(lab.pop_counts, 200, 1e12, 0.0, 1.0).any()
 
 
 def unique_grouped(lab):

@@ -138,6 +138,25 @@ class TestCliCommands:
         assert main(["run", "--config", cfg]) == 2
         assert "even" in capsys.readouterr().err
 
+    def test_pb_core_negative_eps_rejected(self, tmp_path, capsys):
+        # a negative slack validated and then read as a criterion FAIL (exit 1)
+        cfg = write_config(tmp_path, kind="pb_core", params={"eps": -0.5}, trials=50)
+        assert main(["validate", cfg]) == 2
+        assert main(["run", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "eps=-0.5 must be at least 0" in captured.err
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+    def test_pb_core_huge_eps_runs(self, tmp_path, capsys):
+        # the coalition sizes overflowed int32 and the run crashed (exit 3);
+        # capped, no coalition is large enough and nothing blocks
+        out = tmp_path / "core.csv"
+        cfg = write_config(tmp_path, kind="pb_core", params={"eps": 1e12, "step": 0.05}, trials=50, output=str(out))
+        assert main(["run", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert "PASS pb_core: 2/2 checks held" in captured.out
+        assert out.read_text().splitlines()[1].split(",")[5] == "0"
+
     @pytest.mark.parametrize(
         "kind, params, reason",
         [
