@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .model import CamouflagedPopulation, Mode, Panel, make_camouflaged, panel_counts
+from .model import CamouflagedPopulation, Panel, make_camouflaged, panel_counts
 from .sampling import TrialPlan, monte_carlo, proportion_ci, trial_values
 
 COVER_CAP = 10**7
@@ -55,9 +55,6 @@ class LinearCost:
         a = np.asarray(self.alpha)
         return float(a.sum()) - X @ a
 
-    def to_dict(self) -> dict:
-        return {"kind": "linear", "alpha": list(self.alpha)}
-
 
 @dataclass(frozen=True)
 class SaturatingShortfallCost:
@@ -88,9 +85,6 @@ class SaturatingShortfallCost:
             return np.zeros(X.shape[0])
         level = self.b2 / X.shape[1]
         return np.maximum(level - X, 0.0).sum(axis=1) / self.b2
-
-    def to_dict(self) -> dict:
-        return {"kind": "saturating_shortfall", "b2": self.b2}
 
 
 class GridTableCost:
@@ -167,22 +161,8 @@ class GridTableCost:
     def __hash__(self):
         return hash((self.axes, self.values.tobytes()))
 
-    def to_dict(self) -> dict:
-        return {"kind": "grid_table", "axes": [list(a) for a in self.axes], "values": self.values.tolist()}
-
 
 CostModel = Union[LinearCost, SaturatingShortfallCost, GridTableCost]
-
-
-def cost_model_from_dict(data: dict) -> CostModel:
-    kind = data["kind"]
-    if kind == "linear":
-        return LinearCost(tuple(data["alpha"]))
-    if kind == "saturating_shortfall":
-        return SaturatingShortfallCost(float(data["b2"]))
-    if kind == "grid_table":
-        return GridTableCost(data["axes"], data["values"])
-    raise ValueError(f"unknown cost model kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -211,13 +191,6 @@ class PBInstance:
     def n(self) -> int:
         return len(self.costs)
 
-    def to_dict(self) -> dict:
-        return {"m": self.m, "B": self.B, "costs": [c.to_dict() for c in self.costs]}
-
-
-def pb_instance_from_dict(data: dict) -> PBInstance:
-    return PBInstance(int(data["m"]), float(data["B"]), tuple(cost_model_from_dict(c) for c in data["costs"]))
-
 
 def check_allocation(inst: PBInstance, x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
@@ -241,11 +214,16 @@ def eval_cost(model: CostModel, x) -> float:
 def cost_matrix(inst: PBInstance, allocations: np.ndarray) -> np.ndarray:
     """Matrix of cost_i(allocation_b), shape (n agents, n allocations)."""
     X = np.asarray(allocations, dtype=float)
-    out = np.empty((inst.n, X.shape[0]))
     linear_rows = [i for i, c in enumerate(inst.costs) if isinstance(c, LinearCost)]
     if linear_rows:
         A = np.asarray([inst.costs[i].alpha for i in linear_rows])
-        out[linear_rows] = A.sum(axis=1, keepdims=True) - A @ X.T
+        linear = A @ X.T
+        np.subtract(A.sum(axis=1, keepdims=True), linear, out=linear)  # in place: one (rows, N) array
+        if len(linear_rows) == inst.n:
+            return linear
+    out = np.empty((inst.n, X.shape[0]))
+    if linear_rows:
+        out[linear_rows] = linear
     for i, model in enumerate(inst.costs):
         if not isinstance(model, LinearCost):
             out[i] = model.cost_many(X)
@@ -576,7 +554,6 @@ def _exact_cost(model: CostModel, x: list[Fraction]) -> Fraction:
 @dataclass(frozen=True)
 class WelfareReport:
     k: int
-    eps: float
     rho: float
     tau: float
     social_opt: float
@@ -593,13 +570,11 @@ class WelfareReport:
 def welfare_experiment(
     inst: PBInstance,
     k: int,
-    eps: float,
     rho: float = 1.0,
     tau: float = 0.0,
     trials: int = 2000,
     seed: int = 0,
     cover: np.ndarray | None = None,
-    mode: Mode = Mode.WITHOUT_REPLACEMENT,
 ) -> WelfareReport:
     """Estimate the expected social cost of the panel-chosen allocation.
 
@@ -639,9 +614,9 @@ def welfare_experiment(
                 idx = np.argmax(costs <= (target + FEAS_TOL)[:, None], axis=1)
             return pop_costs[idx]
 
-    plan = TrialPlan(n=inst.n, k=k, mode=mode, trials=trials, seed=seed)
+    plan = TrialPlan(n=inst.n, k=k, trials=trials, seed=seed)
     est = monte_carlo(plan, statistic)
-    return WelfareReport(k, eps, rho, tau, social_opt, est.mean, est.half_width_95, trials, seed)
+    return WelfareReport(k, rho, tau, social_opt, est.mean, est.half_width_95, trials, seed)
 
 
 @dataclass(frozen=True)

@@ -228,7 +228,7 @@ def random_line_instance(rng: np.random.Generator, n: int, n_candidates: int = 1
     return facility.FacilityInstance(Segment(0.0, 1.0), candidates, agents)
 
 
-def _tail_estimate(inst, T, delta, k, trials, seed):
+def _tail_estimate(inst, T, k, trials, seed):
     cd = facility.CandidateDistances(inst)
     q_idx = cd.optimum_index()
     opt = float(cd.social[q_idx])
@@ -250,7 +250,7 @@ def _run_facility_tail(
     rows = []
     checks = []
     for idx, inst in enumerate(instances):
-        est = _tail_estimate(inst, T, delta, k, trials, derived_seed(seed, idx))
+        est = _tail_estimate(inst, T, k, trials, derived_seed(seed, idx))
         checks.append(ci_bound(f"p_within instance={idx}", "1-delta", est.mean, 1.0 - delta, est.half_width_95, False))
         rows.append(
             {
@@ -370,9 +370,7 @@ def _run_pb_welfare(
         inst = random_linear_instance(rng, m, n)
         gaps, cis = [], []
         for k_idx, k in enumerate(k_grid):
-            rep = budgeting.welfare_experiment(
-                inst, k, eps, trials=trials, seed=derived_seed(seed, i_idx, k_idx)
-            )
+            rep = budgeting.welfare_experiment(inst, k, trials=trials, seed=derived_seed(seed, i_idx, k_idx))
             gaps.append(rep.gap)
             cis.append(rep.ci_half_width)
             rows.append(_pb_row(k, eps, 0.0, rep.tau, rep.rho, rep.gap, rep.ci_half_width, seed))

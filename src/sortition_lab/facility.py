@@ -63,26 +63,6 @@ class FacilityInstance:
         except ValueError:
             raise ValueError(f"{q!r} is not in the candidate list") from None
 
-    def to_dict(self) -> dict:
-        pack = lambda p: list(p) if isinstance(p, tuple) else p
-        return {
-            "space": self.space.to_dict(),
-            "candidates": [pack(c) for c in self.candidates],
-            "agents": [pack(a) for a in self.agents],
-        }
-
-
-def instance_from_dict(data: dict) -> FacilityInstance:
-    from .model import space_from_dict
-
-    space = space_from_dict(data["space"])
-    unpack = lambda p: tuple(p) if isinstance(p, list) else p
-    return FacilityInstance(
-        space,
-        tuple(unpack(c) for c in data["candidates"]),
-        tuple(unpack(a) for a in data["agents"]),
-    )
-
 
 class CandidateDistances:
     """Cached candidate-by-agent distance matrix for one instance."""

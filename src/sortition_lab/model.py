@@ -50,9 +50,6 @@ class Segment:
     def contains(self, x) -> bool:
         return self.lo - MERGE_TOL <= float(x) <= self.hi + MERGE_TOL
 
-    def to_dict(self) -> dict:
-        return {"kind": "segment", "lo": self.lo, "hi": self.hi}
-
 
 @dataclass(frozen=True)
 class Box:
@@ -75,9 +72,6 @@ class Box:
         if len(x) != self.dim:
             return False
         return all(-MERGE_TOL <= float(c) <= 1.0 + MERGE_TOL for c in x)
-
-    def to_dict(self) -> dict:
-        return {"kind": "box", "dim": self.dim, "norm": self.norm.value}
 
 
 class FiniteMetric:
@@ -130,24 +124,10 @@ class FiniteMetric:
     def __repr__(self):
         return f"FiniteMetric(n_points={self.n_points})"
 
-    def to_dict(self) -> dict:
-        return {"kind": "finite", "dist": self.dist.tolist()}
-
 
 MetricSpace = Union[Segment, Box, FiniteMetric]
 
 Point = Union[float, tuple, int]
-
-
-def space_from_dict(data: dict) -> MetricSpace:
-    kind = data["kind"]
-    if kind == "segment":
-        return Segment(float(data["lo"]), float(data["hi"]))
-    if kind == "box":
-        return Box(int(data["dim"]), Norm(data["norm"]))
-    if kind == "finite":
-        return FiniteMetric(data["dist"])
-    raise ValueError(f"unknown metric space kind {kind!r}")
 
 
 def canonical_point(space: MetricSpace, p) -> Point:
@@ -256,17 +236,6 @@ class Feature:
             raise TypeError("as_array requires a Segment-valued feature")
         return np.asarray(self.values, dtype=float)
 
-    def to_dict(self) -> dict:
-        values = [list(v) if isinstance(v, tuple) else v for v in self.values]
-        return {"space": self.space.to_dict(), "values": values}
-
-
-def feature_from_dict(data: dict) -> Feature:
-    space = space_from_dict(data["space"])
-    raw = data["values"]
-    values = tuple(tuple(v) if isinstance(v, list) else v for v in raw)
-    return Feature(space, values)
-
 
 def real_feature(values: Sequence[float], lo: float = 0.0, hi: float = 1.0) -> Feature:
     """Feature on the segment [lo, hi]."""
@@ -321,7 +290,7 @@ class DiscreteDistribution:
                 merged_c[g] += counts[i]
 
         total = math.fsum(merged_w)
-        if abs(total - 1.0) > MERGE_TOL:
+        if not abs(total - 1.0) <= MERGE_TOL:  # also rejects a nan total
             raise ValueError(f"masses must sum to 1, got {total!r}")
 
         object.__setattr__(self, "space", space)
@@ -368,13 +337,6 @@ class DiscreteDistribution:
     def __repr__(self):
         return f"DiscreteDistribution(support={len(self.support)} points)"
 
-    def to_dict(self) -> dict:
-        support = [list(p) if isinstance(p, tuple) else p for p in self.support]
-        data = {"space": self.space.to_dict(), "support": support, "masses": self.masses.tolist()}
-        if self.is_exact:
-            data["counts"] = list(self.counts)
-        return data
-
 
 def _anchor_groups(points: list) -> tuple[list[int], int]:
     """Group of each line point under the anchor rule, numbered by value: one stable sort, one pass."""
@@ -399,14 +361,6 @@ def _scan_groups(space: MetricSpace, points: list) -> tuple[list[int], int]:
             kept.append(p)
         group.append(hit)
     return group, len(kept)
-
-
-def distribution_from_dict(data: dict) -> DiscreteDistribution:
-    space = space_from_dict(data["space"])
-    support = [tuple(p) if isinstance(p, list) else p for p in data["support"]]
-    if "counts" in data:
-        return DiscreteDistribution.from_counts(space, support, data["counts"])
-    return DiscreteDistribution(space, support, data["masses"])
 
 
 @dataclass(frozen=True)
@@ -446,9 +400,6 @@ class Panel:
     def full(cls, n: int) -> "Panel":
         return cls(n, tuple(range(n)))
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "members": list(self.members), "mode": self.mode.value}
-
 
 def panel_counts(codes, size: int) -> np.ndarray:
     """Occurrences of each code 0..size-1 in one panel's codes.
@@ -463,10 +414,6 @@ def panel_counts(codes, size: int) -> np.ndarray:
     rows = codes.shape[0]
     flat = np.arange(rows)[:, None] * size + codes
     return np.bincount(flat.ravel(), minlength=rows * size).reshape(rows, size)
-
-
-def panel_from_dict(data: dict) -> Panel:
-    return Panel(int(data["n"]), tuple(data["members"]), Mode(data["mode"]))
 
 
 @dataclass(frozen=True)
@@ -499,13 +446,6 @@ class CamouflagedPopulation:
     def assignment_feature(self) -> Feature:
         """Feature view on the discrete metric over 2h points (0-based)."""
         return Feature(FiniteMetric.discrete(2 * self.h), tuple(v - 1 for v in self.labels))
-
-    def to_dict(self) -> dict:
-        return {"h": self.h, "w": self.w, "r": self.r, "z": list(self.z)}
-
-
-def camouflaged_from_dict(data: dict) -> CamouflagedPopulation:
-    return make_camouflaged(tuple(data["z"]), int(data["h"]), int(data["w"]), int(data["r"]))
 
 
 def make_camouflaged(z: Sequence[int], h: int, w: int, r: int) -> CamouflagedPopulation:

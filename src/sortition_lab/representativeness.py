@@ -134,7 +134,6 @@ def min_k_sweep(
     k_grid: tuple[int, ...] | None = None,
     trials: int = 2000,
     seed: int = 0,
-    mode: Mode = Mode.WITHOUT_REPLACEMENT,
 ) -> SweepResult:
     """Estimate P[some feature deviates by more than eps] for each panel size.
 
@@ -166,7 +165,7 @@ def min_k_sweep(
     rows = []
     recommended = None
     for idx, k in enumerate(k_grid):
-        plan = TrialPlan(n=n, k=int(k), mode=mode, trials=trials, seed=derived_seed(seed, idx))
+        plan = TrialPlan(n=n, k=int(k), trials=trials, seed=derived_seed(seed, idx))
         est = monte_carlo(plan, failure)
         rows.append(SweepRow(int(k), est.mean, est.half_width_95))
         if recommended is None and est.mean <= delta:

@@ -45,6 +45,8 @@ class TrialPlan:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.mode, Mode):
+            object.__setattr__(self, "mode", Mode(self.mode))
         if self.k < 1:
             raise ValueError("panel size must be at least 1")
         if self.mode is Mode.WITHOUT_REPLACEMENT and self.k > self.n:

@@ -159,7 +159,7 @@ def test_06_facility_tail_bound():
         checks.append((f"k({T},{delta}) = {k} matches high-precision ceiling {oracle}", k == oracle))
         covered = True
         for idx, inst in enumerate(instances):
-            est = experiments._tail_estimate(inst, T, delta, k, trials, derived_seed(606, idx, int(10 * T)))
+            est = experiments._tail_estimate(inst, T, k, trials, derived_seed(606, idx, int(10 * T)))
             if est.mean < 1.0 - delta - 3.0 * est.half_width_95:
                 covered = False
         checks.append((f"coverage >= 1-{delta}-3ci on all 21 instances at T={T}", covered))

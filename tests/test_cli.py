@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import pathlib
 import re
 import types
 import typing
@@ -455,3 +456,13 @@ class TestCsvFormat:
         write_csv(str(path), ["v"], [{"v": 2}])
         assert path.read_text() == "v\n2\n"
         assert [p for p in os.listdir(tmp_path) if p.startswith(".csv-")] == []
+
+
+class TestReadme:
+    def test_python_blocks_run(self):
+        # the documented library calls must keep working as the API changes
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})

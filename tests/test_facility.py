@@ -15,7 +15,6 @@ from sortition_lab.facility import (
     FacilityInstance,
     box_cover,
     finite_interval_reduce,
-    instance_from_dict,
     linf_lower_instance,
     linf_optimal_point,
     metric_map_to_line,
@@ -294,19 +293,6 @@ class TestLinfLowerInstance:
             )
             floor = wrong * 0.25 + (2 - wrong) * per_coord_opt
             assert social_cost(inst, q) >= floor - 1e-12
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        import json
-
-        for inst in [
-            star_instance(3),
-            linf_lower_instance((1, -1), 2, 2, 1),
-            FacilityInstance(FiniteMetric.discrete(3), (0, 1), (0, 1, 2, 2)),
-        ]:
-            back = instance_from_dict(json.loads(json.dumps(inst.to_dict())))
-            assert back == inst
 
 
 class TestCandidateDistances:

@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -18,17 +17,12 @@ from sortition_lab.model import (
     Norm,
     Panel,
     Segment,
-    camouflaged_from_dict,
-    distribution_from_dict,
-    feature_from_dict,
     majority_estimator,
     majority_signs,
     make_camouflaged,
     pairwise,
     panel_counts,
-    panel_from_dict,
     real_feature,
-    space_from_dict,
     validate_metric,
 )
 from sortition_lab.representativeness import population_distribution
@@ -163,6 +157,10 @@ class TestDiscreteDistribution:
     def test_rejects_bad_mass_sum(self):
         with pytest.raises(ValueError, match="sum to 1"):
             DiscreteDistribution(Segment(0.0, 1.0), (0.0, 1.0), (0.4, 0.4))
+
+    def test_rejects_nan_mass(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            DiscreteDistribution(Segment(0.0, 1.0), (0.5,), (float("nan"),))
 
     def test_from_counts_tracks_exact_masses(self):
         dist = DiscreteDistribution.from_counts(Segment(0.0, 1.0), (0.0, 0.5), (1, 3))
@@ -356,33 +354,3 @@ class TestMajorityEstimator:
         assert [majority_estimator(values, h) for values in panels] == expected
         rows = majority_signs(panel_counts(np.array(panels), 2 * h + 1), h)
         assert [tuple(row) for row in rows.tolist()] == expected
-
-
-class TestSerialization:
-    def test_space_round_trips(self):
-        for space in [Segment(0.0, 2.0), Box(3, Norm.LINF), FiniteMetric.discrete(4)]:
-            data = json.loads(json.dumps(space.to_dict()))
-            assert space_from_dict(data) == space
-
-    def test_feature_round_trip(self):
-        for feature in [
-            Feature(Segment(0.0, 1.0), (0.0, 0.5, 1.0)),
-            Feature(Box(2, Norm.L1), ((0.0, 1.0), (0.5, 0.5))),
-            Feature(FiniteMetric.discrete(3), (0, 2, 1)),
-        ]:
-            data = json.loads(json.dumps(feature.to_dict()))
-            assert feature_from_dict(data) == feature
-
-    def test_distribution_round_trip(self):
-        dist = DiscreteDistribution.from_counts(Segment(0.0, 1.0), (0.0, 0.5, 1.0), (1, 3, 1))
-        back = distribution_from_dict(json.loads(json.dumps(dist.to_dict())))
-        assert back == dist
-        assert back.exact_masses() == dist.exact_masses()
-
-    def test_panel_round_trip(self):
-        panel = Panel(9, (1, 1, 4), Mode.WITH_REPLACEMENT)
-        assert panel_from_dict(json.loads(json.dumps(panel.to_dict()))) == panel
-
-    def test_camouflaged_round_trip(self):
-        pop = make_camouflaged((1, -1, 1), 3, 2, 2)
-        assert camouflaged_from_dict(json.loads(json.dumps(pop.to_dict()))) == pop

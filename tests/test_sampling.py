@@ -314,3 +314,12 @@ class TestTrialPlan:
         with pytest.raises(ValueError):
             TrialPlan(5, 2, trials=0)
         TrialPlan(5, 6, mode=Mode.WITH_REPLACEMENT)
+
+    def test_string_mode_is_coerced(self):
+        plan = TrialPlan(3, 3, mode="with_replacement", trials=64)
+        assert plan.mode is Mode.WITH_REPLACEMENT
+        members = block_members(plan, 0)
+        assert np.array_equal(members, block_members(TrialPlan(3, 3, Mode.WITH_REPLACEMENT, trials=64), 0))
+        assert (np.diff(members, axis=1) == 0).any(axis=1).sum() > 0
+        with pytest.raises(ValueError, match="exceeds"):
+            TrialPlan(3, 5, mode="without_replacement")
