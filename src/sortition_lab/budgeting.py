@@ -255,8 +255,8 @@ def simplex_cover(m: int, B: float, step: float) -> np.ndarray:
     grid = np.stack([g.ravel() for g in mesh], axis=1)
     grid = grid[grid.sum(axis=1) <= B + 1e-9]
     extremes = np.eye(m) * min(B, 1.0)
-    cover = np.unique(np.vstack([grid, extremes]), axis=0)
-    return cover
+    # with no return flag np.unique tests for a masked array, which imports numpy.ma
+    return np.unique(np.vstack([grid, extremes]), axis=0, return_index=True)[0]
 
 
 def uniform_weights(n: int) -> np.ndarray:
@@ -342,7 +342,7 @@ class CoreLab:
         self.rows = matrix[self.reps]
         self.pop_counts = panel_counts(self.group, self.rows.shape[0])
         # each row's sum, exact, as an integer over one power-of-two denominator
-        values = np.unique(self.cover).tolist()
+        values = sorted(set(self.cover.ravel().tolist()))
         ratios = [v.as_integer_ratio() for v in values]
         self._denom = math.lcm(*(den for _, den in ratios))
         scaled = {v: num * (self._denom // den) for v, (num, den) in zip(values, ratios)}

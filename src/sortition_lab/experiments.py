@@ -317,19 +317,25 @@ def _run_facility_welfare(
 def star_far_probability(k: int) -> tuple[Fraction, float]:
     """Exact P[d(panel choice, optimum) >= 2 * opt] on the star instance.
 
-    Every k-subset is scored, 4,096 panels per ``(rows, k)`` block, so memory
-    stays flat however many panels there are.
+    Precondition: the agents sit at two positions and every candidate-to-agent
+    distance is exactly 0.0 or 1.0. A panel's candidate means are then sums of
+    0.0s and 1.0s, exact in any order, over k, so they depend only on j, the
+    number of members at the upper position. One panel per j is scored by
+    ``panel_optimum_index`` in a ``(k+1, k)`` block, and each class that
+    chooses a far candidate adds its C(#upper, j) * C(#lower, k-j) panels;
+    none of the C(2k+1, k) panels is enumerated.
     """
     inst = facility.star_instance(k)
     cd = facility.CandidateDistances(inst)
+    assert np.isin(cd.matrix, (0.0, 1.0)).all(), "count classes need 0/1 distances"
     q_idx = cd.optimum_index()
     opt = float(cd.social[q_idx])
     far = pairwise(inst.space, inst.candidates, [inst.candidates[q_idx]])[:, 0] >= 2.0 * opt
-    panels = (members for members, _ in _weighted_panels(inst.n, k, Mode.WITHOUT_REPLACEMENT))
-    hits = 0
-    while (block := np.fromiter(itertools.chain.from_iterable(itertools.islice(panels, 4096)), np.intp)).size:
-        hits += int(np.count_nonzero(far[cd.panel_optimum_index(block.reshape(-1, k))]))
-    return Fraction(hits, math.comb(inst.n, k)), opt
+    lower, upper = ([i for i, x in enumerate(inst.agents) if x == at] for at in sorted(set(inst.agents)))
+    panels = np.array([upper[:j] + lower[: k - j] for j in range(k + 1)])
+    hits = far[cd.panel_optimum_index(panels)]
+    weight = sum(math.comb(len(upper), j) * math.comb(len(lower), k - j) for j in range(k + 1) if hits[j])
+    return Fraction(weight, math.comb(inst.n, k)), opt
 
 
 def _run_facility_star(seed: int, trials: int, k_max: int) -> ExperimentResult:

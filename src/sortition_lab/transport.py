@@ -203,27 +203,36 @@ def _transport_ssp(supply, demand, cost: np.ndarray) -> dict[tuple[int, int], ob
     Forward relaxations keep each sink's column minimum
     min_i(dist_a[i] + cost[i][j]) and its first index, updated only from the
     sources whose label fell in the last backward pass; labels only fall
-    within one search, so the minimum stays exact.
+    within one search, so the minimum stays exact. Every search starts with
+    the live sources at label 0.0, and the live set only shrinks, so the
+    minima of that start are kept across searches: when a source runs dry,
+    only the columns whose first argmin it was are recomputed.
     """
     ns, nt = cost.shape
+    columns = cost.T.tolist()
     cost = cost.tolist()
     remaining_a = list(supply)
     remaining_b = list(demand)
     flow: dict[tuple[int, int], object] = {}
+    live_a = [i for i in range(ns) if remaining_a[i] > 0]
+    # each sink's min_i(0.0 + cost[i][j]) over the live sources, and its first argmin
+    start_min, start_arg = [math.inf] * nt, [0] * nt
+    for j, column in enumerate(columns):
+        start_min[j], start_arg[j] = _column_minimum(column, live_a)
     guard = 0
     max_iters = 4 * (ns + nt) * (ns + nt) + 16
-    while any(a > 0 for a in remaining_a):
+    while live_a:
         guard += 1
         if guard > max_iters:
             raise RuntimeError("transport solver failed to converge")
         # dist_a[i], dist_b[j]: shortest residual path cost from any live source
         dist_a = [0.0 if a > 0 else math.inf for a in remaining_a]
-        fresh = [i for i in range(ns) if remaining_a[i] > 0]  # labels not yet relaxed forward
+        fresh = ()  # labels not yet relaxed forward; the start covers the live sources
         dist_b = [math.inf] * nt
         pred_b = [-1] * nt  # source feeding j on the best path
         pred_a = [-1] * ns  # sink feeding i via a backward arc
-        col_min = [math.inf] * nt
-        col_arg = [0] * nt
+        col_min = start_min.copy()
+        col_arg = start_arg.copy()
         for _ in range(ns + nt):
             for i in fresh:
                 d, row = dist_a[i], cost[i]
@@ -278,7 +287,22 @@ def _transport_ssp(supply, demand, cost: np.ndarray) -> dict[tuple[int, int], ob
                     del flow[(i, j)]
         remaining_a[source] -= bottleneck
         remaining_b[target] -= bottleneck
+        if remaining_a[source] == 0:
+            live_a.remove(source)
+            for j in range(nt):
+                if start_arg[j] == source:
+                    start_min[j], start_arg[j] = _column_minimum(columns[j], live_a)
     return flow
+
+
+def _column_minimum(column: list[float], live: list[int]) -> tuple[float, int]:
+    """Least 0.0 + column[i] over the ascending live indices, and its first index."""
+    best, arg = math.inf, 0
+    for i in live:
+        v = 0.0 + column[i]
+        if v < best:
+            best, arg = v, i
+    return best, arg
 
 
 def mixture(psi1: DiscreteDistribution, psi2: DiscreteDistribution, t: float) -> DiscreteDistribution:

@@ -1,6 +1,9 @@
 import copy
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -614,6 +617,20 @@ class TestWelfareBlocks:
         assert np.array_equal(block, scalar)
 
 class TestCoreExperiment:
+    def test_run_leaves_numpy_ma_unimported(self):
+        # np.unique with no return flag tests for a masked array, and importing
+        # numpy.ma for that costs a pb_core run 13-19 ms
+        script = (
+            "import sys\n"
+            "from sortition_lab.experiments import ExperimentConfig, run_experiment\n"
+            "params = {'n': 80, 'k': 16, 'eps': 0.25, 'step': 0.1, 'delta': 0.1}\n"
+            "code, _ = run_experiment(ExperimentConfig('pb_core', params, trials=50))\n"
+            "assert code == 0, code\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        src = os.path.dirname(os.path.dirname(budgeting.__file__))
+        subprocess.run([sys.executable, "-c", script], check=True, env={**os.environ, "PYTHONPATH": src})
+
     def test_identical_agents_never_fail(self):
         inst = PBInstance(2, 1.0, (LinearCost((0.7, 0.1)),) * 30)
         report = core_extrapolation_experiment(inst, k=4, eps=0.2, trials=100, seed=2, step=0.25)

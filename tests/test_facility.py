@@ -362,14 +362,29 @@ def frozen_star_far_probability(k):
 
 
 class TestStarFarProbability:
-    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k", range(1, 10))
     def test_block_scoring_matches_per_panel_loop(self, k):
         p_far, opt = experiments.star_far_probability(k)
         assert isinstance(p_far, Fraction)
         assert (p_far, opt) == frozen_star_far_probability(k)
 
+    def test_large_k_matches_hypergeometric_sum(self):
+        # about 1e35 panels; a panel with j members at 1 scores (k-j)/k at candidate 1
+        # and j/k at candidate 0, so it picks the far candidate 1 when j >= k/2
+        k = 60
+        p_far, opt = experiments.star_far_probability(k)
+        expected = sum(
+            Fraction(math.comb(k, j) * math.comb(k + 1, k - j), math.comb(2 * k + 1, k))
+            for j in range(k + 1)
+            if 2 * j >= k
+        )
+        assert p_far == expected
+        assert opt == k / (2 * k + 1)
+        assert p_far >= Fraction(1, 4)
+
     def test_enumeration_memory_stays_flat(self):
-        # all C(19, 9) = 92,378 panels at once hold 6.7 MB of members alone
+        # k + 1 count classes are scored, never the C(19, 9) = 92,378 panels,
+        # which would hold 6.7 MB of members alone
         tracemalloc.start()
         try:
             experiments.star_far_probability(9)

@@ -382,6 +382,25 @@ class TestSolverMatchesFrozenCopy:
         mixed = mixture(data.draw(counted(LINE, EIGHTHS)), data.draw(counted(LINE, EIGHTHS)), t)
         assert_same_flow(phi, mixed, rational=True)
 
+    def test_dry_argmin_source_with_tie(self):
+        # both sources are 0.25 from the sink at 0.5, so its column minimum ties and
+        # goes to source 0; the first search fills the sink at 0.875 from source 1,
+        # the second drains source 0, and only the tied column is recomputed
+        phi = DiscreteDistribution.from_counts(LINE, [0.25, 0.75], [1, 3])
+        psi = DiscreteDistribution.from_counts(LINE, [0.5, 0.875], [2, 2])
+        real = transport._column_minimum
+        seen = []
+
+        def spy(column, live):
+            seen.append((list(column), list(live)))
+            return real(column, live)
+
+        with mock.patch.object(transport, "_column_minimum", spy):
+            wasserstein_flow(phi, psi)
+        assert seen[:3] == [([0.25, 0.25], [0, 1]), ([0.625, 0.125], [0, 1]), ([0.25, 0.25], [1])]
+        assert_same_flow(phi, psi)
+        assert_same_flow(phi, psi, rational=True)
+
     def test_random_float_segments(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
