@@ -28,7 +28,6 @@ from .sampling import (
     EstimateWithCI,
     TrialPlan,
     draw_panel,
-    enumerate_panels,
     monte_carlo,
     proportion_ci,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "TrialPlan",
     "convexity_check",
     "draw_panel",
-    "enumerate_panels",
     "is_representative",
     "majority_estimator",
     "make_camouflaged",

@@ -26,6 +26,7 @@ from .model import (
     Feature,
     Mode,
     Norm,
+    Panel,
     Segment,
     majority_signs,
     make_camouflaged,
@@ -38,7 +39,6 @@ from .sampling import (
     TrialPlan,
     _weighted_panels,
     derived_seed,
-    enumerate_panels,
     mean_ci,
     monte_carlo,
     proportion_ci,
@@ -149,17 +149,17 @@ def sd_exact_probabilities() -> tuple[Fraction, Fraction, dict[tuple, float]]:
     """Exact P[W <= 0.2] under both sampling modes for the pinned feature, k=2."""
     feature = real_feature(SD_FEATURE)
     pop = representativeness.population_distribution(feature)
+    n, k = feature.n, 2
     w_values: dict[tuple, float] = {}
     probs = {}
     for mode in (Mode.WITHOUT_REPLACEMENT, Mode.WITH_REPLACEMENT):
-        total = Fraction(0)
-        for panel, prob in enumerate_panels(feature.n, 2, mode):
-            w = wasserstein_1d(pop, representativeness.panel_distribution(feature, panel))
-            key = tuple(feature.values[i] for i in panel.members)
-            w_values.setdefault(key, w)
+        hits = 0  # draws, out of C(n, k) subsets or n^k ordered draws
+        for members, weight in _weighted_panels(n, k, mode):
+            w = wasserstein_1d(pop, representativeness.panel_distribution(feature, Panel(n, members, mode)))
+            w_values.setdefault(tuple(feature.values[i] for i in members), w)
             if w <= SD_THRESHOLD:
-                total += prob
-        probs[mode] = total
+                hits += weight
+        probs[mode] = Fraction(hits, math.comb(n, k) if mode is Mode.WITHOUT_REPLACEMENT else n**k)
     return probs[Mode.WITHOUT_REPLACEMENT], probs[Mode.WITH_REPLACEMENT], w_values
 
 
@@ -276,14 +276,12 @@ def _run_facility_welfare(
     checks = []
     for d_idx, dim in enumerate(dims):
         rng = np.random.default_rng(derived_seed(seed, d_idx))
-        space = facility.Box(dim, Norm.L1) if dim > 1 else Segment(0.0, 1.0)
         if dim == 1:
-            agents = tuple(float(v) for v in rng.random(n))
-            candidates = tuple(float(c) for c in np.linspace(0.0, 1.0, 9))
+            inst = random_line_instance(rng, n, 9)
         else:
             agents = tuple(tuple(float(v) for v in row) for row in rng.random((n, dim)))
-            candidates = tuple(facility.box_cover(dim, 0.125, Norm.L1))
-        inst = facility.FacilityInstance(space, candidates, agents)
+            cover = tuple(facility.box_cover(dim, 0.125, Norm.L1))
+            inst = facility.FacilityInstance(facility.Box(dim, Norm.L1), cover, agents)
         cd = facility.CandidateDistances(inst)
         opt = float(cd.social.min())
         means, cis = [], []

@@ -184,11 +184,7 @@ def expected_w_exact(feature: Feature, k: int, mode: Mode) -> float:
     draws), so the sum is exact and O(distinct values * k).
     """
     n = feature.n
-    if k < 1:
-        raise ValueError(f"k={k} must be at least 1")
-    if mode is Mode.WITHOUT_REPLACEMENT:
-        if k > n:
-            raise ValueError(f"k={k} exceeds n={n} without replacement")
+    if TrialPlan(n, k, mode).mode is Mode.WITHOUT_REPLACEMENT:
         draws = comb(n, k)
         weight = lambda c, t: comb(c, t) * comb(n - c, k - t)
     else:

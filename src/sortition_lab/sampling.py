@@ -12,10 +12,8 @@ the one loop over the blocks.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, groupby
 from typing import Callable, Iterator
 
@@ -28,7 +26,7 @@ _MASK64 = (1 << 64) - 1
 #: Trials per block: each block draws from its own stream and is scored at once.
 TRIAL_BLOCK = 64
 
-#: Largest number of panels enumerate_panels will generate.
+#: Largest number of panels _weighted_panels will generate.
 ENUMERATION_CAP = 10**6
 
 Z_95 = 1.96
@@ -36,7 +34,7 @@ Z_95 = 1.96
 
 @dataclass(frozen=True)
 class TrialPlan:
-    """A reproducible batch of panel draws."""
+    """A reproducible batch of panel draws; the one check of a panel spec (n, k, mode)."""
 
     n: int
     k: int
@@ -95,35 +93,9 @@ def derived_seed(seed: int, *indices: int) -> int:
 
 
 def draw_panel(n: int, k: int, mode: Mode, rng: np.random.Generator) -> Panel:
-    """One uniform panel draw.
-
-    Without replacement: partial Fisher-Yates over 0..n-1, so every k-subset
-    has probability 1 / C(n, k). With replacement: k i.i.d. uniform indices.
-    """
-    TrialPlan(n, k, mode)  # the panel-size checks of a Monte Carlo plan
-    if mode is Mode.WITHOUT_REPLACEMENT:
-        # swaps on a list of ints: the same swaps on numpy scalars cost
-        # several times more per element
-        idx = list(range(n))
-        for i, j in enumerate(rng.integers(np.arange(k), n).tolist()):
-            idx[i], idx[j] = idx[j], idx[i]
-        members = sorted(idx[:k])
-    else:
-        members = np.sort(rng.integers(0, n, size=k)).tolist()
-    return Panel(n, tuple(members), mode)
-
-
-def enumerate_panels(n: int, k: int, mode: Mode) -> Iterator[tuple[Panel, Fraction]]:
-    """All panels with their exact probabilities (rational arithmetic).
-
-    With replacement the ordered draws are collapsed to multisets, so each
-    panel carries the multinomial count of its orderings over n^k.
-    """
-    denom = math.comb(n, k) if mode is Mode.WITHOUT_REPLACEMENT else n**k
-    # few distinct weights occur, and building a Fraction costs more than a panel
-    prob = functools.cache(lambda weight: Fraction(weight, denom))
-    for members, weight in _weighted_panels(n, k, mode):
-        yield Panel(n, members, mode), prob(weight)
+    """One uniform panel draw from ``rng``: one row of ``_draw_rows``."""
+    mode = TrialPlan(n, k, mode).mode
+    return Panel(n, tuple(_draw_rows(rng, n, k, mode, 1)[0].tolist()), mode)
 
 
 def _weighted_panels(n: int, k: int, mode: Mode) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -132,9 +104,7 @@ def _weighted_panels(n: int, k: int, mode: Mode) -> Iterator[tuple[tuple[int, ..
     The count is 1 for a subset drawn without replacement (over C(n, k))
     and the number of orderings of the multiset with replacement (over n^k).
     """
-    if mode is Mode.WITHOUT_REPLACEMENT:
-        if k > n:
-            raise ValueError(f"k={k} exceeds n={n} without replacement")
+    if TrialPlan(n, k, mode).mode is Mode.WITHOUT_REPLACEMENT:
         total = math.comb(n, k)
         if total > ENUMERATION_CAP:
             raise ValueError(f"C({n},{k}) = {total} exceeds the enumeration cap")
@@ -155,16 +125,22 @@ def _weighted_panels(n: int, k: int, mode: Mode) -> Iterator[tuple[tuple[int, ..
 def block_members(plan: TrialPlan, block: int) -> np.ndarray:
     """Sorted (rows, k) member matrix of one block of trials.
 
-    Rows are trials ``block * TRIAL_BLOCK`` onwards, drawn from
-    ``trial_rng(plan.seed, block)``. Without replacement every row is a
-    partial Fisher-Yates shuffle of 0..n-1, done as k column swaps over all
-    rows at once, so every k-subset has probability 1 / C(n, k); with
-    replacement a row holds k i.i.d. uniform indices.
+    Rows are trials ``block * TRIAL_BLOCK`` onwards, drawn by ``_draw_rows``
+    from ``trial_rng(plan.seed, block)``.
     """
-    n, k = plan.n, plan.k
     rows = min(TRIAL_BLOCK, plan.trials - block * TRIAL_BLOCK)
-    rng = trial_rng(plan.seed, block)
-    if plan.mode is Mode.WITH_REPLACEMENT:
+    return _draw_rows(trial_rng(plan.seed, block), plan.n, plan.k, plan.mode, rows)
+
+
+def _draw_rows(rng: np.random.Generator, n: int, k: int, mode: Mode, rows: int) -> np.ndarray:
+    """Sorted (rows, k) member matrix of ``rows`` uniform panels drawn from ``rng``.
+
+    Without replacement every row is a partial Fisher-Yates shuffle of
+    0..n-1, done as k column swaps over all rows at once, so every k-subset
+    has probability 1 / C(n, k); with replacement a row holds k i.i.d.
+    uniform indices.
+    """
+    if mode is Mode.WITH_REPLACEMENT:
         return np.sort(rng.integers(0, n, size=(rows, k)), axis=1)
     swaps = rng.integers(np.arange(k), n, size=(rows, k))
     # position p of row r lives at perm[p * rows + r], so position p of

@@ -755,7 +755,7 @@ class TestImpossibilityFamily:
         from fractions import Fraction
 
         from sortition_lab.model import Mode
-        from sortition_lab.sampling import enumerate_panels
+        from sortition_lab.sampling import _weighted_panels
 
         k = 3
         for m, budget in ((2, 1.0), (3, 2.0)):
@@ -765,10 +765,10 @@ class TestImpossibilityFamily:
             expected = []
             for inst in pair:
                 total = Fraction(0)
-                for panel, prob in enumerate_panels(n, k, Mode.WITHOUT_REPLACEMENT):
-                    x, _ = optimal_allocation(inst, panel_counts(panel.members, n) / panel.k, cover)
+                for members, weight in _weighted_panels(n, k, Mode.WITHOUT_REPLACEMENT):
+                    x, _ = optimal_allocation(inst, panel_counts(members, n) / k, cover)
                     sc = float(np.mean([eval_cost(c, x) for c in inst.costs]))
-                    total += prob * Fraction(sc)
+                    total += Fraction(weight, math.comb(n, k)) * Fraction(sc)
                 expected.append(total)
                 _, opt = optimal_allocation(inst, cover=cover)
                 assert opt == pytest.approx(0.0, abs=1e-12)

@@ -466,3 +466,14 @@ class TestReadme:
         assert blocks
         for block in blocks:
             exec(compile(block, "README.md", "exec"), {})
+
+
+class TestPackageExports:
+    def test_star_import_resolves_every_name(self):
+        # a name left in __all__ after its definition is deleted breaks `import *`
+        import sortition_lab
+
+        assert [name for name in sortition_lab.__all__ if not hasattr(sortition_lab, name)] == []
+        namespace = {}
+        exec("from sortition_lab import *", namespace)
+        assert set(sortition_lab.__all__) <= set(namespace)

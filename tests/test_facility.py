@@ -26,7 +26,7 @@ from sortition_lab.facility import (
     tail_panel_size,
 )
 from sortition_lab.model import Box, FiniteMetric, Mode, Norm, Panel, Segment
-from sortition_lab.sampling import TrialPlan, block_members, enumerate_panels
+from sortition_lab.sampling import TrialPlan, _weighted_panels, block_members
 
 LINE = Segment(0.0, 1.0)
 
@@ -354,10 +354,10 @@ def frozen_star_far_probability(k):
     opt = float(cd.social[q_idx])
     q_star = inst.candidates[q_idx]
     total = Fraction(0)
-    for panel, prob in enumerate_panels(inst.n, k, Mode.WITHOUT_REPLACEMENT):
-        chosen = inst.candidates[cd.panel_optimum_index(panel.members)]
+    for members, weight in _weighted_panels(inst.n, k, Mode.WITHOUT_REPLACEMENT):
+        chosen = inst.candidates[cd.panel_optimum_index(members)]
         if inst.space.distance(chosen, q_star) >= 2.0 * opt:
-            total += prob
+            total += Fraction(weight, math.comb(inst.n, k))
     return total, opt
 
 

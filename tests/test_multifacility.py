@@ -22,7 +22,7 @@ from sortition_lab.multifacility import (
     panel_bound_check,
     panel_facilities,
 )
-from sortition_lab.sampling import enumerate_panels
+from sortition_lab.sampling import _weighted_panels
 
 LINE = Segment(0.0, 1.0)
 
@@ -324,7 +324,7 @@ class TestImpossibility:
         for k in range(1, k_max + 1):
             # frozen copy of the per-panel loop that the tally by agent positions replaced
             expected = Fraction(0)
-            for panel, prob in enumerate_panels(n, k, Mode.WITHOUT_REPLACEMENT):
-                _, chosen = panel_facilities(inst_b, panel)
-                expected += prob * Fraction(multi_cost(inst_b, chosen))
+            for members, weight in _weighted_panels(n, k, Mode.WITHOUT_REPLACEMENT):
+                _, chosen = panel_facilities(inst_b, Panel(n, members))
+                expected += Fraction(weight, math.comb(n, k)) * Fraction(multi_cost(inst_b, chosen))
             assert experiments.expected_panel_cost(inst_b, k) == expected

@@ -157,6 +157,12 @@ class TestExpectedClosedForm:
         with pytest.raises(ValueError, match="at least 1"):
             expected_w_exact(FEATURE, 0, Mode.WITH_REPLACEMENT)
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_string_mode_is_coerced(self, mode):
+        # 0.24 without replacement, 0.272 with: a mode given by its value must not pick the other
+        feature = real_feature([0.0, 0.25, 0.5, 0.75, 1.0])
+        assert expected_w_exact(feature, 2, mode.value) == expected_w_exact(feature, 2, mode)
+
 
 class TestExpectedOrdering:
     def test_without_replacement_never_worse(self):

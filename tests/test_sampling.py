@@ -15,9 +15,9 @@ from sortition_lab.sampling import (
     EstimateWithCI,
     StatisticError,
     TrialPlan,
+    _weighted_panels,
     block_members,
     draw_panel,
-    enumerate_panels,
     monte_carlo,
     proportion_ci,
     trial_rng,
@@ -42,10 +42,9 @@ class TestDrawPanel:
 
     def test_uniform_over_pairs(self):
         # n=4, k=2: each of the 6 pairs should appear with frequency 1/6 +- 0.01
-        counts = Counter()
         draws = 60_000
-        for t in range(draws):
-            counts[draw_panel(4, 2, Mode.WITHOUT_REPLACEMENT, trial_rng(17, t)).members] += 1
+        rows = np.concatenate(plan_blocks(TrialPlan(4, 2, trials=draws, seed=17)))
+        counts = Counter(map(tuple, rows.tolist()))
         assert len(counts) == 6
         for pair, hits in counts.items():
             assert abs(hits / draws - 1 / 6) < 0.01, pair
@@ -55,36 +54,80 @@ class TestDrawPanel:
         assert panel.mode is Mode.WITH_REPLACEMENT
         assert all(a <= b for a, b in zip(panel.members, panel.members[1:]))
 
+    @pytest.mark.parametrize(
+        "n, k, mode",
+        [
+            (5, 5, Mode.WITHOUT_REPLACEMENT),
+            (1, 1, Mode.WITHOUT_REPLACEMENT),
+            (50, 1, Mode.WITHOUT_REPLACEMENT),
+            (50, 7, Mode.WITHOUT_REPLACEMENT),
+            (200, 25, Mode.WITHOUT_REPLACEMENT),
+            (40, 40, Mode.WITHOUT_REPLACEMENT),
+            (30, 1, Mode.WITH_REPLACEMENT),
+            (40, 12, Mode.WITH_REPLACEMENT),
+            (3, 5, Mode.WITH_REPLACEMENT),
+            (1, 4, Mode.WITH_REPLACEMENT),
+        ],
+    )
+    def test_matches_list_swap_draw(self, n, k, mode):
+        # a frozen copy of the per-panel draw that swapped a list of ints:
+        # the one-row block draw gives the same panel and leaves the
+        # generator in the same state
+        def list_swap_draw(rng):
+            if mode is Mode.WITH_REPLACEMENT:
+                return tuple(np.sort(rng.integers(0, n, size=k)).tolist())
+            idx = list(range(n))
+            for i, j in enumerate(rng.integers(np.arange(k), n).tolist()):
+                idx[i], idx[j] = idx[j], idx[i]
+            return tuple(sorted(idx[:k]))
+
+        for t in range(20):
+            ours, frozen = trial_rng(5, t), trial_rng(5, t)
+            assert draw_panel(n, k, mode, ours).members == list_swap_draw(frozen)
+            assert ours.integers(1 << 62) == frozen.integers(1 << 62)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_string_mode_is_coerced(self, mode):
+        for t in range(50):
+            by_value = draw_panel(4, 2, mode.value, trial_rng(3, t))
+            assert by_value == draw_panel(4, 2, mode, trial_rng(3, t))
+            assert by_value.mode is mode
+
 
 class TestEnumeratePanels:
+    """The one exact enumerator: members of every panel and its integer count of draws."""
+
     def test_subsets_uniform(self):
-        panels = list(enumerate_panels(5, 2, Mode.WITHOUT_REPLACEMENT))
+        panels = list(_weighted_panels(5, 2, Mode.WITHOUT_REPLACEMENT))
         assert len(panels) == 10
-        assert all(prob == Fraction(1, 10) for _, prob in panels)
-        assert sum(prob for _, prob in panels) == 1
+        assert all(weight == 1 for _, weight in panels)
+        assert sum(Fraction(weight, math.comb(5, 2)) for _, weight in panels) == 1
 
     def test_multisets_weighted(self):
-        panels = list(enumerate_panels(5, 2, Mode.WITH_REPLACEMENT))
+        panels = list(_weighted_panels(5, 2, Mode.WITH_REPLACEMENT))
         assert len(panels) == 15
-        assert sum(prob for _, prob in panels) == 1
-        probs = {panel.members: prob for panel, prob in panels}
-        assert probs[(0, 0)] == Fraction(1, 25)
-        assert probs[(0, 1)] == Fraction(2, 25)
+        assert sum(weight for _, weight in panels) == 25
+        weights = dict(panels)
+        assert weights[(0, 0)] == 1
+        assert weights[(0, 1)] == 2
 
     def test_single_panel(self):
-        panels = list(enumerate_panels(3, 3, Mode.WITHOUT_REPLACEMENT))
-        assert len(panels) == 1
-        assert panels[0][1] == 1
+        panels = list(_weighted_panels(3, 3, Mode.WITHOUT_REPLACEMENT))
+        assert panels == [((0, 1, 2), 1)]
 
     def test_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            list(enumerate_panels(60, 20, Mode.WITHOUT_REPLACEMENT))
+            list(_weighted_panels(60, 20, Mode.WITHOUT_REPLACEMENT))
 
     def test_rejects_oversized_subset(self):
         with pytest.raises(ValueError, match="exceeds"):
-            list(enumerate_panels(3, 4, Mode.WITHOUT_REPLACEMENT))
+            list(_weighted_panels(3, 4, Mode.WITHOUT_REPLACEMENT))
         # with replacement a panel may be larger than the population
-        assert len(list(enumerate_panels(2, 3, Mode.WITH_REPLACEMENT))) == 4
+        assert len(list(_weighted_panels(2, 3, Mode.WITH_REPLACEMENT))) == 4
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_string_mode_is_coerced(self, mode):
+        assert list(_weighted_panels(5, 2, mode.value)) == list(_weighted_panels(5, 2, mode))
 
 
 class TestMonteCarlo:
