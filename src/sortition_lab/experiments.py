@@ -23,10 +23,10 @@ import numpy as np
 
 from . import budgeting, facility, multifacility, representativeness
 from .model import (
+    DiscreteDistribution,
     Feature,
     Mode,
     Norm,
-    Panel,
     Segment,
     majority_signs,
     make_camouflaged,
@@ -35,9 +35,8 @@ from .model import (
     real_feature,
 )
 from .sampling import (
-    ENUMERATION_CAP,
     TrialPlan,
-    _weighted_panels,
+    count_classes,
     derived_seed,
     mean_ci,
     monte_carlo,
@@ -146,20 +145,21 @@ SD_W = {"w_low_mid": ((0.0, 0.5), 0.25), "w_mid_mid": ((0.5, 0.5), 0.2), "w_low_
 
 
 def sd_exact_probabilities() -> tuple[Fraction, Fraction, dict[tuple, float]]:
-    """Exact P[W <= 0.2] under both sampling modes for the pinned feature, k=2."""
+    """Exact P[W <= 0.2] under both sampling modes for the pinned feature, k=2, scored once per count class."""
     feature = real_feature(SD_FEATURE)
     pop = representativeness.population_distribution(feature)
-    n, k = feature.n, 2
+    values, sizes = zip(*sorted(collections.Counter(feature.values).items()))
     w_values: dict[tuple, float] = {}
     probs = {}
     for mode in (Mode.WITHOUT_REPLACEMENT, Mode.WITH_REPLACEMENT):
-        hits = 0  # draws, out of C(n, k) subsets or n^k ordered draws
-        for members, weight in _weighted_panels(n, k, mode):
-            w = wasserstein_1d(pop, representativeness.panel_distribution(feature, Panel(n, members, mode)))
-            w_values.setdefault(tuple(feature.values[i] for i in members), w)
-            if w <= SD_THRESHOLD:
-                hits += weight
-        probs[mode] = Fraction(hits, math.comb(n, k) if mode is Mode.WITHOUT_REPLACEMENT else n**k)
+        hits = draws = 0  # out of C(n, k) subsets or n^k ordered draws
+        for counts, weight in count_classes(sizes, 2, mode):
+            support, tallies = zip(*((v, t) for v, t in zip(values, counts) if t))
+            w = wasserstein_1d(pop, DiscreteDistribution.from_counts(feature.space, support, tallies))
+            w_values[tuple(v for v, t in zip(values, counts) for _ in range(t))] = w
+            hits += weight if w <= SD_THRESHOLD else 0
+            draws += weight
+        probs[mode] = Fraction(hits, draws)
     return probs[Mode.WITHOUT_REPLACEMENT], probs[Mode.WITH_REPLACEMENT], w_values
 
 
@@ -320,8 +320,8 @@ def star_far_probability(k: int) -> tuple[Fraction, float]:
     0.0s and 1.0s, exact in any order, over k, so they depend only on j, the
     number of members at the upper position. One panel per j is scored by
     ``panel_optimum_index`` in a ``(k+1, k)`` block, and each class that
-    chooses a far candidate adds its C(#upper, j) * C(#lower, k-j) panels;
-    none of the C(2k+1, k) panels is enumerated.
+    chooses a far candidate adds its C(#upper, j) * C(#lower, k-j) panels
+    from ``count_classes``; none of the C(2k+1, k) panels is enumerated.
     """
     inst = facility.star_instance(k)
     cd = facility.CandidateDistances(inst)
@@ -330,9 +330,9 @@ def star_far_probability(k: int) -> tuple[Fraction, float]:
     opt = float(cd.social[q_idx])
     far = pairwise(inst.space, inst.candidates, [inst.candidates[q_idx]])[:, 0] >= 2.0 * opt
     lower, upper = ([i for i, x in enumerate(inst.agents) if x == at] for at in sorted(set(inst.agents)))
-    panels = np.array([upper[:j] + lower[: k - j] for j in range(k + 1)])
-    hits = far[cd.panel_optimum_index(panels)]
-    weight = sum(math.comb(len(upper), j) * math.comb(len(lower), k - j) for j in range(k + 1) if hits[j])
+    classes = list(count_classes([len(upper), len(lower)], k, Mode.WITHOUT_REPLACEMENT))
+    hits = far[cd.panel_optimum_index(np.array([upper[:j] + lower[: k - j] for (j, _), _ in classes]))]
+    weight = sum(count for (_, count), hit in zip(classes, hits) if hit)
     return Fraction(weight, math.comb(inst.n, k)), opt
 
 
@@ -528,16 +528,14 @@ def _run_multifacility_line(
 def expected_panel_cost(inst: multifacility.MultiFacilityInstance, k: int) -> Fraction:
     """Exact mean social cost of the panel-optimal facilities over every k-subset of a line instance.
 
-    A panel's facilities depend only on its sorted agent positions, so the
-    line DP runs once per distinct position tuple, weighted by its count.
+    A panel's facilities depend only on its counts at the agent positions, so
+    the line DP runs once per count class, weighted by its number of subsets.
     """
     base = inst.base
-    tally = collections.Counter(
-        tuple(sorted(base.agents[i] for i in members))
-        for members, _ in _weighted_panels(base.n, k, Mode.WITHOUT_REPLACEMENT)
-    )
+    sites, sizes = zip(*sorted(collections.Counter(base.agents).items()))
     total = Fraction(0)
-    for positions, count in tally.items():
+    for counts, count in count_classes(sizes, k, Mode.WITHOUT_REPLACEMENT):
+        positions = tuple(x for x, t in zip(sites, counts) for _ in range(t))
         _, chosen = multifacility.kmedian_line(positions, base.candidates, inst.ell)
         total += Fraction(count, math.comb(base.n, k)) * Fraction(multifacility.multi_cost(inst, chosen))
     return total
@@ -620,13 +618,17 @@ def _validate_multifacility_line(params: dict, trials: int):
         raise ValueError("n_instances * trials must be at least 2 for a confidence interval on the gap")
 
 
+#: Input limit of the exact kinds on C(n, k) at their largest k; it bounds no computation.
+ENUMERATION_CAP = 10**6
+
+
 def _validate_enumeration(n: int, k: int, k_max: int):
-    """Reject ``k_max`` when C(n, k) panels exceed ``ENUMERATION_CAP``; stops as soon as they do."""
+    """Reject ``k_max`` when C(n, k) exceeds ``ENUMERATION_CAP``; stops as soon as it does."""
     count = 1
     for i in range(min(k, n - k)):
         count = count * (n - i) // (i + 1)  # C(n, i + 1), which grows while i + 1 <= n / 2
         if count > ENUMERATION_CAP:
-            raise ValueError(f"k_max={k_max} needs C({n},{k}) panels, more than the enumeration cap {ENUMERATION_CAP}")
+            raise ValueError(f"k_max={k_max} is above the input limit: C({n},{k}) exceeds {ENUMERATION_CAP}")
 
 
 def _validate_multifacility_impossible(params: dict, trials: int):

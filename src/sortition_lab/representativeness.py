@@ -5,12 +5,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from math import comb
 
 import numpy as np
 
 from .model import DiscreteDistribution, Feature, Mode, Panel, Segment, panel_counts
-from .sampling import TrialPlan, derived_seed, monte_carlo
+from .sampling import TrialPlan, count_classes, derived_seed, monte_carlo
 from .transport import _cdf_gap_integral, wasserstein
 
 #: Slack for representativeness decisions and mean-gap comparisons.
@@ -178,18 +177,16 @@ def expected_w_exact(feature: Feature, k: int, mode: Mode) -> float:
 
     W is the CDF-gap sum over the distinct values u_j, so by linearity
     E[W] = sum_j gap_j * sum_t P(T_j = t) * |t/k - c_j/n|, where c_j agents
-    lie at or below u_j and T_j panel members do: T_j is hypergeometric
-    without replacement and binomial with replacement. Every term is an
-    integer over the common denominator n * k * (number of equally likely
-    draws), so the sum is exact and O(distinct values * k).
+    lie at or below u_j and T_j panel members do. The law of T_j is the
+    count classes over the two groups at or below and above u_j. Every term
+    is an integer over the common denominator n * k * (number of equally
+    likely draws), so the sum is exact and O(distinct values * k).
     """
     n = feature.n
-    if TrialPlan(n, k, mode).mode is Mode.WITHOUT_REPLACEMENT:
-        draws = comb(n, k)
-        weight = lambda c, t: comb(c, t) * comb(n - c, k - t)
-    else:
-        draws = n**k
-        weight = lambda c, t: comb(k, t) * c**t * (n - c) ** (k - t)
+    ((_, draws),) = count_classes([n], k, mode)  # C(n, k) subsets or n^k ordered draws
     grid, counts = zip(*sorted(Counter(feature.as_array().tolist()).items()))
-    heights = (sum(weight(c, t) * abs(t * n - c * k) for t in range(k + 1)) for c in accumulate(counts))
+    heights = (
+        sum(weight * abs(t * n - c * k) for (t, _), weight in count_classes([c, n - c], k, mode))
+        for c in accumulate(counts)
+    )
     return float(_cdf_gap_integral(grid, heights, n * k * draws))

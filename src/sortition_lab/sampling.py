@@ -1,4 +1,4 @@
-"""Uniform panel draws, exhaustive enumeration, and a seeded Monte Carlo engine.
+"""Uniform panel draws, exact count classes, and a seeded Monte Carlo engine.
 
 Trials are drawn in fixed blocks of ``TRIAL_BLOCK`` = 64. Block ``b`` of a
 plan draws from its own counter-based stream: numpy's ``Philox`` keyed on the
@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, groupby
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,9 +24,6 @@ _MASK64 = (1 << 64) - 1
 
 #: Trials per block: each block draws from its own stream and is scored at once.
 TRIAL_BLOCK = 64
-
-#: Largest number of panels _weighted_panels will generate.
-ENUMERATION_CAP = 10**6
 
 Z_95 = 1.96
 
@@ -98,28 +94,31 @@ def draw_panel(n: int, k: int, mode: Mode, rng: np.random.Generator) -> Panel:
     return Panel(n, tuple(_draw_rows(rng, n, k, mode, 1)[0].tolist()), mode)
 
 
-def _weighted_panels(n: int, k: int, mode: Mode) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Members of every panel with its integer count of draws.
+def count_classes(sizes: Sequence[int], k: int, mode: Mode) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every count vector t of a uniform size-k panel over groups of equal agents, with its integer number of draws.
 
-    The count is 1 for a subset drawn without replacement (over C(n, k))
-    and the number of orderings of the multiset with replacement (over n^k).
+    Group j holds ``sizes[j]`` agents and t_j panel members. A class holds
+    prod_j C(s_j, t_j) of the C(n, k) subsets without replacement, and
+    prod_j C(t_j + ... + t_d, t_j) * s_j^t_j of the n^k ordered draws with it
+    (the multinomial as a chain of binomials). Classes with no draws are
+    skipped. The work is the number of classes, at most C(k+d-1, d-1) for d
+    groups, whatever n is.
     """
-    if TrialPlan(n, k, mode).mode is Mode.WITHOUT_REPLACEMENT:
-        total = math.comb(n, k)
-        if total > ENUMERATION_CAP:
-            raise ValueError(f"C({n},{k}) = {total} exceeds the enumeration cap")
-        for members in combinations(range(n), k):
-            yield members, 1
-    else:
-        total = math.comb(n + k - 1, k)
-        if total > ENUMERATION_CAP:
-            raise ValueError(f"{total} multisets exceed the enumeration cap")
-        kfact = math.factorial(k)
-        for members in combinations_with_replacement(range(n), k):
-            orderings = kfact  # k! over the product of multiplicity factorials
-            for _, run in groupby(members):
-                orderings //= math.factorial(len(list(run)))
-            yield members, orderings
+    sizes = tuple(sizes)
+    replace = TrialPlan(sum(sizes), k, mode).mode is Mode.WITH_REPLACEMENT
+    cap = [(k if s else 0) if replace else s for s in sizes]  # most members group j can hold
+    room = [sum(cap[j + 1 :]) for j in range(len(sizes))]  # most the groups after j can hold
+
+    def classes(j: int, left: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        if j == len(sizes):
+            yield (), 1
+            return
+        for t in range(max(0, left - room[j]), min(cap[j], left) + 1):
+            weight = math.comb(left, t) * sizes[j] ** t if replace else math.comb(sizes[j], t)
+            for tail, rest in classes(j + 1, left - t):
+                yield (t, *tail), weight * rest
+
+    return classes(0, k)
 
 
 def block_members(plan: TrialPlan, block: int) -> np.ndarray:

@@ -353,3 +353,25 @@ def test_13_tie_heavy_multifacility_line_bytes(tmp_path):
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     checks = [("tie-heavy multifacility_line CSV sha256 matches the recorded digest", digest == TIE_HEAVY_SHA256)]
     verdict("tie-heavy-line-determinism", checks, started, 60.0)
+
+
+# The exact kinds at sizes where each count class stands for many panels, up
+# to C(21, 10) for facility_star and C(20, 9) for multifacility_impossible.
+# Digests at seed 0, recorded while multifacility_impossible still enumerated
+# every subset.
+EXACT_SHA256 = [
+    ("facility_star", {"k_max": 10}, "e28d67498bebf7698ea8877131e1dbee58fbf9752997d87d10ca479f7c3d7d49"),
+    ("multifacility_impossible", {"k_max": 8, "n": 14}, "2dcd818b1d5a2800d915882e2fb400babc6f5fb3dc4d9d51e0206dfc000dc64a"),
+    ("multifacility_impossible", {"k_max": 9, "n": 20}, "44673fda92fc78911af65487d3c2f1169f6dc50a4672201584861bf5a70fda6f"),
+]
+
+
+def test_13_exact_kind_bytes(tmp_path):
+    started = time.perf_counter()
+    checks = []
+    for kind, params, digest in EXACT_SHA256:
+        out = tmp_path / f"{kind}.csv"
+        run_experiment(ExperimentConfig(kind, params, seed=0, output=str(out)))
+        matches = hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        checks.append((f"{kind} {params} CSV sha256 matches the recorded digest", matches))
+    verdict("exact-kind-determinism", checks, started, 60.0)

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import plan_blocks
+from conftest import plan_blocks, weighted_panels
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -755,7 +755,6 @@ class TestImpossibilityFamily:
         from fractions import Fraction
 
         from sortition_lab.model import Mode
-        from sortition_lab.sampling import _weighted_panels
 
         k = 3
         for m, budget in ((2, 1.0), (3, 2.0)):
@@ -765,7 +764,7 @@ class TestImpossibilityFamily:
             expected = []
             for inst in pair:
                 total = Fraction(0)
-                for members, weight in _weighted_panels(n, k, Mode.WITHOUT_REPLACEMENT):
+                for members, weight in weighted_panels(n, k, Mode.WITHOUT_REPLACEMENT):
                     x, _ = optimal_allocation(inst, panel_counts(members, n) / k, cover)
                     sc = float(np.mean([eval_cost(c, x) for c in inst.costs]))
                     total += Fraction(weight, math.comb(n, k)) * Fraction(sc)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import weighted_panels
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,6 @@ from sortition_lab.multifacility import (
     panel_bound_check,
     panel_facilities,
 )
-from sortition_lab.sampling import _weighted_panels
 
 LINE = Segment(0.0, 1.0)
 
@@ -322,9 +322,9 @@ class TestImpossibility:
     def test_expected_cost_matches_per_panel_loop(self, k_max, n):
         _, inst_b = impossibility_instance(n)
         for k in range(1, k_max + 1):
-            # frozen copy of the per-panel loop that the tally by agent positions replaced
+            # frozen copy of the per-panel loop that the count classes replaced
             expected = Fraction(0)
-            for members, weight in _weighted_panels(n, k, Mode.WITHOUT_REPLACEMENT):
+            for members, weight in weighted_panels(n, k, Mode.WITHOUT_REPLACEMENT):
                 _, chosen = panel_facilities(inst_b, Panel(n, members))
                 expected += Fraction(weight, math.comb(n, k)) * Fraction(multi_cost(inst_b, chosen))
             assert experiments.expected_panel_cost(inst_b, k) == expected

@@ -3,6 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from conftest import weighted_panels
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from sortition_lab.representativeness import (
     panel_distribution,
     population_distribution,
 )
-from sortition_lab.sampling import TrialPlan, _weighted_panels, block_members
+from sortition_lab.sampling import TrialPlan, block_members
 from sortition_lab.transport import wasserstein_1d
 
 FEATURE = real_feature((0.0, 0.5, 0.5, 0.5, 1.0))
@@ -125,7 +126,7 @@ def enumerated_expected_w(feature, k: int, mode: Mode) -> Fraction:
     pop_cdf = [Fraction(sum(v <= u for v in feature.values), feature.n) for u in grid]
     total = Fraction(0)
     draws = 0
-    for members, weight in _weighted_panels(feature.n, k, mode):
+    for members, weight in weighted_panels(feature.n, k, mode):
         w = Fraction(0)
         for j in range(len(grid) - 1):
             panel_cdf = Fraction(sum(feature.values[i] <= grid[j] for i in members), k)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import plan_blocks
+from conftest import plan_blocks, weighted_panels
 
 from sortition_lab.experiments import ExperimentConfig, run_experiment
 from sortition_lab.model import Mode, Panel, real_feature
@@ -15,8 +15,8 @@ from sortition_lab.sampling import (
     EstimateWithCI,
     StatisticError,
     TrialPlan,
-    _weighted_panels,
     block_members,
+    count_classes,
     draw_panel,
     monte_carlo,
     proportion_ci,
@@ -95,16 +95,16 @@ class TestDrawPanel:
 
 
 class TestEnumeratePanels:
-    """The one exact enumerator: members of every panel and its integer count of draws."""
+    """The exact-enumeration oracle of conftest: members of every panel and its integer count of draws."""
 
     def test_subsets_uniform(self):
-        panels = list(_weighted_panels(5, 2, Mode.WITHOUT_REPLACEMENT))
+        panels = list(weighted_panels(5, 2, Mode.WITHOUT_REPLACEMENT))
         assert len(panels) == 10
         assert all(weight == 1 for _, weight in panels)
         assert sum(Fraction(weight, math.comb(5, 2)) for _, weight in panels) == 1
 
     def test_multisets_weighted(self):
-        panels = list(_weighted_panels(5, 2, Mode.WITH_REPLACEMENT))
+        panels = list(weighted_panels(5, 2, Mode.WITH_REPLACEMENT))
         assert len(panels) == 15
         assert sum(weight for _, weight in panels) == 25
         weights = dict(panels)
@@ -112,22 +112,48 @@ class TestEnumeratePanels:
         assert weights[(0, 1)] == 2
 
     def test_single_panel(self):
-        panels = list(_weighted_panels(3, 3, Mode.WITHOUT_REPLACEMENT))
-        assert panels == [((0, 1, 2), 1)]
+        assert list(weighted_panels(3, 3, Mode.WITHOUT_REPLACEMENT)) == [((0, 1, 2), 1)]
 
-    def test_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            list(_weighted_panels(60, 20, Mode.WITHOUT_REPLACEMENT))
+
+def oracle_classes(sizes, k, mode):
+    """Count vectors over the groups, tallied from every panel of the enumeration oracle."""
+    group = [j for j, size in enumerate(sizes) for _ in range(size)]
+    tally = Counter()
+    for members, weight in weighted_panels(sum(sizes), k, mode):
+        counts = [0] * len(sizes)
+        for i in members:
+            counts[group[i]] += 1
+        tally[tuple(counts)] += weight
+    return dict(tally)
+
+
+class TestCountClasses:
+    """The one exact enumerator: every count vector over groups of equal agents with its integer count of draws."""
+
+    @pytest.mark.parametrize("sizes", [(1,), (3,), (1, 3, 1), (2, 2), (4, 1, 2, 3), (5, 5), (1, 1, 1, 1)])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_matches_enumeration_oracle(self, sizes, mode):
+        n = sum(sizes)
+        # with replacement a panel may be larger than the population
+        for k in range(1, n + 2 if mode is Mode.WITH_REPLACEMENT else n + 1):
+            classes = list(count_classes(sizes, k, mode))
+            assert len(set(t for t, _ in classes)) == len(classes)
+            assert dict(classes) == oracle_classes(sizes, k, mode)
 
     def test_rejects_oversized_subset(self):
         with pytest.raises(ValueError, match="exceeds"):
-            list(_weighted_panels(3, 4, Mode.WITHOUT_REPLACEMENT))
-        # with replacement a panel may be larger than the population
-        assert len(list(_weighted_panels(2, 3, Mode.WITH_REPLACEMENT))) == 4
+            count_classes([1, 2], 4, Mode.WITHOUT_REPLACEMENT)
+        assert sum(weight for _, weight in count_classes([1, 1], 3, Mode.WITH_REPLACEMENT)) == 8
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_string_mode_is_coerced(self, mode):
-        assert list(_weighted_panels(5, 2, mode.value)) == list(_weighted_panels(5, 2, mode))
+        assert list(count_classes([2, 3], 2, mode.value)) == list(count_classes([2, 3], 2, mode))
+
+    def test_work_does_not_grow_with_n(self):
+        # two classes stand for the C(10**6, 500) subsets, a number of 1,866 digits
+        classes = list(count_classes([10**6 - 1, 1], 500, Mode.WITHOUT_REPLACEMENT))
+        assert [t for t, _ in classes] == [(499, 1), (500, 0)]
+        assert sum(weight for _, weight in classes) == math.comb(10**6, 500)
 
 
 class TestMonteCarlo:
